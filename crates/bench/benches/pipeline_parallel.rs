@@ -3,7 +3,12 @@
 //! analysis caching — matching recomputed for every census), the cached
 //! sequential path, and the sharded parallel path (CSR-lowered analysis +
 //! batched ring replay), plus an engine-level serial-vs-replay CLC
-//! comparison on the same trace.
+//! comparison on the same trace, timed as strictly alternating rounds.
+//!
+//! The trace comes in two tag shapes: one tag per message, and the same
+//! generator with 4 reused tags. For each shape the sequential pipeline's
+//! own stage timings give `(match + lower) / clc`, the share of the run
+//! the analysis front end costs relative to the CLC it feeds.
 //!
 //! Run with `cargo bench -p bench --bench pipeline_parallel` (add
 //! `-- --test` for the CI smoke run: fewer repetitions, same report).
@@ -35,9 +40,11 @@ const PROCS: usize = 16;
 const MSGS: usize = 60_000; // ≥120k events
 
 /// A causally valid trace recorded through skewed, linearly drifting
-/// clocks, plus init/finalize offset measurements.
+/// clocks, plus init/finalize offset measurements. Message `m` carries
+/// tag `m`, or `m % k` with `reused_tags = Some(k)`.
 fn big_trace(
     seed: u64,
+    reused_tags: Option<u32>,
 ) -> (
     Trace,
     Vec<Option<OffsetMeasurement>>,
@@ -58,6 +65,7 @@ fn big_trace(
     let mut trace = Trace::for_ranks(PROCS);
     let mut now = [0i64; PROCS];
     for m in 0..MSGS {
+        let tag = Tag(reused_tags.map_or(m as u32, |k| m as u32 % k));
         let from = rng.gen_range(0usize..PROCS);
         let to = (from + rng.gen_range(1usize..PROCS)) % PROCS;
         let send_true = now[from] + rng.gen_range(5i64..40);
@@ -66,11 +74,11 @@ fn big_trace(
         now[to] = recv_true;
         trace.procs[from].push(
             Time::from_us(local(from, send_true)),
-            EventKind::Send { to: Rank(to as u32), tag: Tag(m as u32), bytes: 64 },
+            EventKind::Send { to: Rank(to as u32), tag, bytes: 64 },
         );
         trace.procs[to].push(
             Time::from_us(local(to, recv_true)),
-            EventKind::Recv { from: Rank(from as u32), tag: Tag(m as u32), bytes: 64 },
+            EventKind::Recv { from: Rank(from as u32), tag, bytes: 64 },
         );
     }
     let end = *now.iter().max().expect("non-empty") + 100;
@@ -158,11 +166,124 @@ fn events_per_sec(n_events: usize, took: Duration) -> f64 {
     n_events as f64 / took.as_secs_f64()
 }
 
+/// Median, min and max of a set of round results.
+struct Spread {
+    median: f64,
+    min: f64,
+    max: f64,
+}
+
+impl Spread {
+    fn of(mut v: Vec<f64>) -> Spread {
+        assert!(!v.is_empty(), "no rounds to summarize");
+        v.sort_by(f64::total_cmp);
+        let mid = v.len() / 2;
+        let median = if v.len() % 2 == 1 { v[mid] } else { (v[mid - 1] + v[mid]) / 2.0 };
+        Spread { median, min: v[0], max: v[v.len() - 1] }
+    }
+
+    /// The `"key"`, `"key_min"` and `"key_max"` JSON members.
+    fn members(&self, key: &str, digits: usize) -> [String; 3] {
+        let (m, lo, hi) = (self.median, self.min, self.max);
+        [
+            format!("\"{key}\": {m:.digits$}"),
+            format!("\"{key}_min\": {lo:.digits$}"),
+            format!("\"{key}_max\": {hi:.digits$}"),
+        ]
+    }
+}
+
+/// Rounds per timed comparison, and the least work one round may do:
+/// strictly alternating rounds of ≥200 ms each, medians over rounds
+/// (the arXiv:1505.07734 design).
+const ROUNDS: usize = 7;
+const MIN_ROUND: Duration = Duration::from_millis(200);
+
+/// Throughput of one round: run `f` on fresh clones of `trace` (clone
+/// untimed) until at least [`MIN_ROUND`] of timed work has accumulated.
+fn round_events_per_sec<R>(trace: &Trace, mut f: impl FnMut(&mut Trace) -> R) -> f64 {
+    let (mut took, mut runs) = (Duration::ZERO, 0usize);
+    while took < MIN_ROUND {
+        let mut t = trace.clone();
+        let t0 = Instant::now();
+        std::hint::black_box(f(&mut t));
+        took += t0.elapsed();
+        runs += 1;
+    }
+    events_per_sec(trace.n_events() * runs, took)
+}
+
+/// The sequential pipeline's analysis front end against its CLC, from its
+/// own stage timings: `match`, `lower` and `clc` in ms per run and
+/// `(match + lower) / clc`, each as a spread over [`ROUNDS`] rounds of
+/// back-to-back runs (≥ [`MIN_ROUND`] of pipeline time per round).
+struct FrontEnd {
+    match_ms: Spread,
+    lower_ms: Spread,
+    clc_ms: Spread,
+    match_lower_over_clc: Spread,
+}
+
+fn front_end(
+    trace: &Trace,
+    init: &[Option<OffsetMeasurement>],
+    fin: &[Option<OffsetMeasurement>],
+    lmin: &UniformLatency,
+    cfg: &PipelineConfig,
+) -> FrontEnd {
+    let mut rows = Vec::with_capacity(ROUNDS);
+    for _ in 0..ROUNDS {
+        let (mut sum, mut total, mut runs) = ([0.0f64; 3], Duration::ZERO, 0.0);
+        while total < MIN_ROUND {
+            let mut t = trace.clone();
+            let t0 = Instant::now();
+            let rep = synchronize(&mut t, init, Some(fin), lmin, cfg).expect("pipeline runs");
+            total += t0.elapsed();
+            for (acc, name) in sum.iter_mut().zip(["match", "lower", "clc"]) {
+                *acc += 1e3 * rep.stats.stage(name).expect("stage ran").seconds;
+            }
+            runs += 1.0;
+        }
+        rows.push(sum.map(|ms| ms / runs));
+    }
+    let col = |f: fn(&[f64; 3]) -> f64| Spread::of(rows.iter().map(f).collect());
+    FrontEnd {
+        match_ms: col(|r| r[0]),
+        lower_ms: col(|r| r[1]),
+        clc_ms: col(|r| r[2]),
+        match_lower_over_clc: col(|r| (r[0] + r[1]) / r[2]),
+    }
+}
+
+impl FrontEnd {
+    fn members(&self, shape: &str) -> Vec<String> {
+        [
+            (&self.match_ms, "match_ms"),
+            (&self.lower_ms, "lower_ms"),
+            (&self.clc_ms, "clc_ms"),
+            (&self.match_lower_over_clc, "match_lower_over_clc"),
+        ]
+        .into_iter()
+        .flat_map(|(v, name)| v.members(&format!("{shape}_{name}"), 3))
+        .collect()
+    }
+
+    fn print(&self, shape: &str) {
+        let (m, l, c, r) =
+            (&self.match_ms, &self.lower_ms, &self.clc_ms, &self.match_lower_over_clc);
+        println!(
+            "  {shape:<7} match {:.2} ms, lower {:.2} ms, clc {:.2} ms, \
+             (match+lower)/clc {:.3} [{:.3}, {:.3}]",
+            m.median, l.median, c.median, r.median, r.min, r.max
+        );
+    }
+}
+
 fn main() {
     let test_mode = std::env::args().any(|a| a == "--test");
     let iters = if test_mode { 3 } else { 10 };
 
-    let (trace, init, fin, lmin) = big_trace(7);
+    let (trace, init, fin, lmin) = big_trace(7, None);
     let n_events = trace.n_events();
     assert!(n_events >= 100_000, "bench trace too small: {n_events}");
     let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -216,17 +337,35 @@ fn main() {
         synchronize(&mut t, &init, Some(&fin), &lmin, &presync_only).expect("presync runs");
         t
     };
+    // Strictly alternating serial/replay rounds; the gate reads the
+    // median of the per-pair ratios.
     let params = ClcParams::default();
-    let t_clc_serial = best_of_cloned(iters, &presynced, |t| {
-        controlled_logical_clock(t, &lmin, &params).expect("serial CLC runs")
-    });
-    let t_clc_par = best_of_cloned(iters, &presynced, |t| {
-        controlled_logical_clock_parallel(t, &lmin, &params).expect("parallel CLC runs")
+    let (mut eps_clc_serial, mut eps_clc_par, mut clc_ratio) = (vec![], vec![], vec![]);
+    for _ in 0..ROUNDS {
+        let serial = round_events_per_sec(&presynced, |t| {
+            controlled_logical_clock(t, &lmin, &params).expect("serial CLC runs")
+        });
+        let replay = round_events_per_sec(&presynced, |t| {
+            controlled_logical_clock_parallel(t, &lmin, &params).expect("parallel CLC runs")
+        });
+        eps_clc_serial.push(serial);
+        eps_clc_par.push(replay);
+        clc_ratio.push(replay / serial);
+    }
+    let (eps_clc_serial, eps_clc_par, clc_speedup) =
+        (Spread::of(eps_clc_serial), Spread::of(eps_clc_par), Spread::of(clc_ratio));
+
+    // The analysis front end against the CLC, per tag shape.
+    let unique = front_end(&trace, &init, &fin, &lmin, &seq_cfg);
+    let (trace4, init4, fin4, lmin4) = big_trace(7, Some(4));
+    let tags4 = front_end(&trace4, &init4, &fin4, &lmin4, &seq_cfg);
+    let t_seq4 = best_of_cloned(iters, &trace4, |t| {
+        synchronize(t, &init4, Some(&fin4), &lmin4, &seq_cfg).expect("pipeline runs")
     });
 
     // Kernel-level census comparison, both single-threaded on identical
     // input: the AoS reference walk (`check_p2p` + `check_collectives`,
-    // HashMap-matched events re-located per check) against the planned
+    // matched events re-located per check) against the planned
     // columnar kernels (event offsets and l_min bounds frozen once into
     // flat check lanes, then chunked branchless/AVX2 passes gathering
     // straight from the columns' timestamp slab — zero copies per round).
@@ -272,40 +411,54 @@ fn main() {
 
     let eps_reanalysis = events_per_sec(n_events, t_reanalysis);
     let eps_seq = events_per_sec(n_events, t_seq);
+    let eps_seq4 = events_per_sec(trace4.n_events(), t_seq4);
     let eps_par = events_per_sec(n_events, t_par);
-    let eps_clc_serial = events_per_sec(n_events, t_clc_serial);
-    let eps_clc_par = events_per_sec(n_events, t_clc_par);
     let eps_census_ref = events_per_sec(n_events, t_census_ref);
     let eps_census = events_per_sec(n_events, t_census_kernel);
     let pipeline_speedup = eps_par / eps_seq;
-    let clc_speedup = eps_clc_par / eps_clc_serial;
     let census_speedup = eps_census / eps_census_ref;
+    let (clc_s, clc_p, clc_r) = (eps_clc_serial.median, eps_clc_par.median, &clc_speedup);
 
     println!("pipeline: {n_events} events, {PROCS} procs, {cpus} cpu(s)");
     println!("  seed_reanalysis  {eps_reanalysis:>12.0} events/s  ({t_reanalysis:?})");
     println!("  sequential       {eps_seq:>12.0} events/s  ({t_seq:?})");
+    println!("  sequential 4tag  {eps_seq4:>12.0} events/s  ({t_seq4:?})");
     println!("  parallel         {eps_par:>12.0} events/s  ({t_par:?})");
-    println!("  clc_serial       {eps_clc_serial:>12.0} events/s  ({t_clc_serial:?})");
-    println!("  clc_parallel     {eps_clc_par:>12.0} events/s  ({t_clc_par:?})");
+    println!("  clc_serial       {clc_s:>12.0} events/s  (median of {ROUNDS} rounds)");
+    println!("  clc_parallel     {clc_p:>12.0} events/s  (median of {ROUNDS} rounds)");
     println!("  census_reference {eps_census_ref:>12.0} events/s  ({t_census_ref:?})");
     println!("  census_kernel    {eps_census:>12.0} events/s  ({t_census_kernel:?})");
     println!("  parallel/sequential pipeline speedup: {pipeline_speedup:.2}x");
-    println!("  parallel/serial CLC speedup: {clc_speedup:.2}x");
-    println!("  kernel/reference census speedup: {census_speedup:.2}x");
-
-    let json = format!(
-        "{{\n  \"n_events\": {n_events},\n  \"procs\": {PROCS},\n  \"cpus\": {cpus},\n  \
-         \"seed_reanalysis_events_per_sec\": {eps_reanalysis:.0},\n  \
-         \"sequential_events_per_sec\": {eps_seq:.0},\n  \
-         \"parallel_events_per_sec\": {eps_par:.0},\n  \
-         \"parallel_over_sequential_speedup\": {pipeline_speedup:.3},\n  \
-         \"clc_serial_events_per_sec\": {eps_clc_serial:.0},\n  \
-         \"clc_parallel_events_per_sec\": {eps_clc_par:.0},\n  \
-         \"clc_parallel_over_serial_speedup\": {clc_speedup:.3},\n  \
-         \"census_reference_events_per_sec\": {eps_census_ref:.0},\n  \
-         \"census_events_per_sec\": {eps_census:.0},\n  \
-         \"census_kernel_over_reference_speedup\": {census_speedup:.3}\n}}\n",
+    println!(
+        "  parallel/serial CLC speedup: {:.2}x median [{:.2}, {:.2}] over {ROUNDS} pairs",
+        clc_r.median, clc_r.min, clc_r.max
     );
+    println!("  kernel/reference census speedup: {census_speedup:.2}x");
+    unique.print("unique");
+    tags4.print("tags4");
+
+    let mut members = vec![
+        format!("\"n_events\": {n_events}"),
+        format!("\"procs\": {PROCS}"),
+        format!("\"cpus\": {cpus}"),
+        format!("\"seed_reanalysis_events_per_sec\": {eps_reanalysis:.0}"),
+        format!("\"sequential_events_per_sec\": {eps_seq:.0}"),
+        format!("\"tags4_sequential_events_per_sec\": {eps_seq4:.0}"),
+        format!("\"parallel_events_per_sec\": {eps_par:.0}"),
+        format!("\"parallel_over_sequential_speedup\": {pipeline_speedup:.3}"),
+        format!("\"clc_rounds\": {ROUNDS}"),
+        format!("\"clc_min_round_ms\": {}", MIN_ROUND.as_millis()),
+    ];
+    members.extend(eps_clc_serial.members("clc_serial_events_per_sec", 0));
+    members.extend(eps_clc_par.members("clc_parallel_events_per_sec", 0));
+    members.extend(clc_speedup.members("clc_parallel_over_serial_speedup", 3));
+    members.push(format!("\"census_reference_events_per_sec\": {eps_census_ref:.0}"));
+    members.push(format!("\"census_events_per_sec\": {eps_census:.0}"));
+    members.push(format!("\"census_kernel_over_reference_speedup\": {census_speedup:.3}"));
+    members.push(format!("\"front_end_rounds\": {ROUNDS}"));
+    members.extend(unique.members("unique"));
+    members.extend(tags4.members("tags4"));
+    let json = format!("{{\n  {}\n}}\n", members.join(",\n  "));
     let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pipeline.json");
     std::fs::write(out, json).expect("write BENCH_pipeline.json");
     println!("wrote {out}");
@@ -317,7 +470,9 @@ fn main() {
         "cached pipeline must be >= 1.2x the reanalysis baseline, got {:.2}x",
         eps_seq / eps_reanalysis
     );
-    // The CLC speedup gate depends on real parallelism being available.
+    // The CLC speedup gate depends on real parallelism being available;
+    // it reads the median over the alternating round pairs.
+    let clc_speedup = clc_speedup.median;
     if cpus >= 4 {
         assert!(
             clc_speedup >= 1.3,

@@ -44,14 +44,15 @@ use crate::interp::{LinearInterpolation, OffsetAlignment, TimestampMap};
 use crate::offset::OffsetMeasurement;
 use onlinesync::{KalmanParams, OnlineCorrector, ProbeFix};
 use simclock::Time;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tracefmt::io::{CodecError, StreamDecoder, TraceBuilder};
 use tracefmt::{
-    check_collectives_at, check_p2p_messages_at, match_collectives, match_messages, CensusPlan,
-    CollReport, CollectiveInstance, LatencyTable, Matching, MinLatency, P2pReport,
-    Rank, TimeSource, Trace, TraceColumns,
+    assemble_collective_instances, check_collectives_at, check_p2p_messages_at, CensusPlan,
+    CollCall, CollReport, CollectiveInstance, CollectiveScanner, CommId, EventKind, LatencyTable,
+    Matching, MessageMatcher, MinLatency, P2pReport, Rank, TimeSource, Trace, TraceColumns,
 };
 
 /// Which pre-synchronisation to apply.
@@ -210,11 +211,34 @@ pub struct TraceAnalysis {
 }
 
 impl TraceAnalysis {
-    /// Reconstruct the communication structure of `trace`.
+    /// Reconstruct the communication structure of `trace`: the result of
+    /// [`match_messages`] and [`match_collectives`], from one pass that
+    /// feeds each event to the message matcher and to its timeline's
+    /// collective scanner. The matcher is sized as in `match_messages`.
+    ///
+    /// [`match_messages`]: tracefmt::match_messages
+    /// [`match_collectives`]: tracefmt::match_collectives
     pub fn capture(trace: &Trace) -> Result<Self, String> {
+        let n = trace.n_procs();
+        let mut matcher = MessageMatcher::with_capacity(trace.n_events() / 2);
+        let mut per_comm = HashMap::new();
+        for (p, pt) in trace.procs.iter().enumerate() {
+            let rank = pt.location.rank;
+            let mut scanner = CollectiveScanner::new(p, rank);
+            for (i, e) in pt.events.iter().enumerate() {
+                match e.kind {
+                    EventKind::Send { .. } => matcher.feed_send(rank, p, i, &e.kind),
+                    EventKind::Recv { .. } => matcher.feed_recv(rank, p, i, &e.kind),
+                    _ => scanner.feed(i, &e.kind)?,
+                }
+            }
+            for (comm, list) in scanner.finish() {
+                per_comm.entry(comm).or_insert_with(|| vec![Vec::new(); n])[p] = list;
+            }
+        }
         Ok(TraceAnalysis {
-            matching: match_messages(trace),
-            instances: match_collectives(trace)?,
+            matching: matcher.finish(),
+            instances: assemble_instances(&per_comm)?,
         })
     }
 
@@ -222,6 +246,21 @@ impl TraceAnalysis {
     fn n_items(&self) -> usize {
         self.matching.messages.len() + self.instances.len()
     }
+}
+
+/// Zip every communicator's per-timeline call lists (`per_comm[comm][p]`)
+/// into instances, in sorted communicator order — the assembly step of
+/// [`tracefmt::match_collectives`].
+fn assemble_instances(
+    per_comm: &HashMap<CommId, Vec<Vec<CollCall>>>,
+) -> Result<Vec<CollectiveInstance>, String> {
+    let mut comms: Vec<CommId> = per_comm.keys().copied().collect();
+    comms.sort();
+    let mut instances = Vec::new();
+    for comm in comms {
+        instances.extend(assemble_collective_instances(comm, &per_comm[&comm])?);
+    }
+    Ok(instances)
 }
 
 /// Concrete per-process pre-synchronisation map. An enum rather than a
@@ -681,32 +720,20 @@ fn synchronize_impl(
 
     // Reconstruct the communication structure once; every census reuses it
     // (matching is order-based, so timestamp rewrites cannot invalidate
-    // it). With a real worker pool the per-rank scans shard over it.
+    // it). One sequential sort-based pass, whatever the worker pool.
     cancel.check()?;
     let t0 = Instant::now();
-    let sharded_match = par.is_some_and(|p| p.effective_workers() >= 2);
-    let analysis = if sharded_match {
-        let (analysis, shards, wait) =
-            parallel::capture_analysis_sharded(trace, par.expect("sharded implies parallel"))
-                .map_err(PipelineError::BadTrace)?;
-        stats
-            .stages
-            .push(StageStats::sharded("match", n_events, t0.elapsed(), shards, wait));
-        analysis
-    } else {
-        let analysis = TraceAnalysis::capture(trace).map_err(PipelineError::BadTrace)?;
-        stats
-            .stages
-            .push(StageStats::sequential("match", n_events, t0.elapsed()));
-        analysis
-    };
+    let analysis = TraceAnalysis::capture(trace).map_err(PipelineError::BadTrace)?;
+    stats
+        .stages
+        .push(StageStats::sequential("match", n_events, t0.elapsed()));
 
     // Lower the analysis into the CSR dependency graph whenever a CLC
     // engine that consumes it will run (the columnar kernels and the
     // batched replay; the sequential AoS path keeps the map-based
     // reference implementation). The method gates this: Interp and
     // Online never run a CLC, whatever `cfg.clc` says.
-    let replay = sharded_match;
+    let replay = par.is_some_and(|p| p.effective_workers() >= 2);
     let graph = if cfg.effective_clc().is_some()
         && (cfg.storage == TimestampStorage::Columnar || replay)
     {
@@ -1038,11 +1065,11 @@ mod tests {
         assert_eq!(presync.items, n_events);
         // 40 events over 2 procs in shards of 4 → 10 shards.
         assert_eq!(presync.shards, 10);
-        // Sharded analysis: the match stage scans every event and reports
-        // the shard count of its parallel rounds.
+        // The match stage scans every event in one sequential pass,
+        // whatever the worker pool.
         let m = rep.stats.stage("match").unwrap();
         assert_eq!(m.items, n_events);
-        assert!(m.shards >= 2, "sharded match ran {} shard(s)", m.shards);
+        assert_eq!(m.shards, 1);
         // CSR lowering runs whenever the CLC does on this path.
         assert_eq!(rep.stats.stage("lower").unwrap().items, n_events);
         // Replay CLC: one worker per timeline, every event replayed once.

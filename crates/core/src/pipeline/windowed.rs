@@ -47,8 +47,8 @@
 //! covers the `i64` timestamp lanes, which dominate at scale.
 
 use super::{
-    build_presync_maps, CancelToken, PipelineConfig, PipelineError, PipelineStats, PresyncMap,
-    StageStats,
+    assemble_instances, build_presync_maps, CancelToken, PipelineConfig, PipelineError,
+    PipelineStats, PresyncMap, StageStats,
 };
 use crate::clc::graph::DepGraph;
 use crate::clc::{ClcError, ClcParams, ClcReport, Jump};
@@ -61,8 +61,8 @@ use tracefmt::io::{
     StreamIndex,
 };
 use tracefmt::{
-    assemble_collective_instances, CollCall, CollectiveInstance, CollectiveScanner, CommId,
-    EventId, EventKind, LatencyTable, Matching, MessageMatcher, MinLatency, Rank,
+    CollCall, CollectiveInstance, CollectiveScanner, CommId, EventId, EventKind, LatencyTable,
+    Matching, MessageMatcher, MinLatency, Rank,
 };
 
 /// A finalized-chunk consumer for the streaming entry point: called with
@@ -265,11 +265,11 @@ fn ingest_block(
 }
 
 /// Reconstruct the communication structure straight from the indexed
-/// stream: the streamed twin of [`TraceAnalysis::capture`], feeding the
-/// same order-based matcher/scanner state machines block by block (two
-/// passes — all sends, then all receives — exactly like the batch
-/// matcher), so the resulting [`Matching`] and instance list are
-/// bit-identical to the batch analysis of the decoded trace.
+/// stream: the streamed twin of [`TraceAnalysis::capture`]. One pass
+/// decodes each block's kinds once and feeds the same push-only matcher
+/// and collective scanner the batch analysis uses, so the resulting
+/// [`Matching`] and instance list are bit-identical to the batch analysis
+/// of the decoded trace.
 ///
 /// [`TraceAnalysis::capture`]: super::TraceAnalysis::capture
 fn capture_analysis_streamed(
@@ -293,39 +293,19 @@ fn capture_analysis_streamed(
                 .map_err(PipelineError::Codec)?;
             for (j, kind) in kinds.iter().enumerate() {
                 let i = bm.first_idx as usize + j;
-                matcher.feed_send(rank, p, i, kind);
-                scanner.feed(i, kind).map_err(PipelineError::BadTrace)?;
+                match kind {
+                    EventKind::Send { .. } => matcher.feed_send(rank, p, i, kind),
+                    EventKind::Recv { .. } => matcher.feed_recv(rank, p, i, kind),
+                    _ => scanner.feed(i, kind).map_err(PipelineError::BadTrace)?,
+                }
             }
         }
         for (comm, list) in scanner.finish() {
             per_comm.entry(comm).or_insert_with(|| vec![Vec::new(); n])[p] = list;
         }
     }
-    for p in 0..n {
-        let rank = index.locations[p].rank;
-        for &bidx in &index.proc_blocks[p] {
-            let bm = &index.blocks[bidx as usize];
-            kinds.clear();
-            let payload = store.read(bm.payload_off, bm.payload_len as usize, &mut scratch);
-            decode_block_kinds(index.version, payload, bm.n_events as usize, &mut kinds)
-                .map_err(PipelineError::Codec)?;
-            for (j, kind) in kinds.iter().enumerate() {
-                matcher.feed_recv(rank, p, bm.first_idx as usize + j, kind);
-            }
-        }
-    }
-    let matching = matcher.finish();
-
-    let mut comms: Vec<CommId> = per_comm.keys().copied().collect();
-    comms.sort();
-    let mut instances = Vec::new();
-    for comm in comms {
-        instances.extend(
-            assemble_collective_instances(comm, &per_comm[&comm])
-                .map_err(PipelineError::BadTrace)?,
-        );
-    }
-    Ok((matching, instances))
+    let instances = assemble_instances(&per_comm).map_err(PipelineError::BadTrace)?;
+    Ok((matcher.finish(), instances))
 }
 
 /// Sweep 1 (backward path only): run the forward pass once, with bounded

@@ -8,11 +8,19 @@
 //! fork/join bracketing. These reconstructions are purely *logical*: they
 //! use event order within each timeline, never the (unreliable) timestamps,
 //! so corrupted clocks cannot corrupt the structure.
+//!
+//! Message matching is a sort, not a queue simulation: sends and receives
+//! are stably sorted by their `(from, to, tag)` key, and the k-th send of a
+//! key pairs with the k-th receive of the same key. Both lists enter the
+//! sort in event-id order — program order within each timeline — so the
+//! stable sort keeps every key's sends and receives in program order, which
+//! is exactly the FIFO order the non-overtaking rule speaks about.
 
 use crate::event::{CollOp, EventKind};
 use crate::ids::{CommId, EventId, Rank, RegionId};
 use crate::trace::Trace;
-use std::collections::{HashMap, VecDeque};
+use std::cmp::Ordering;
+use std::collections::HashMap;
 
 /// A matched point-to-point message: its send and receive events.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,117 +56,265 @@ impl Matching {
     }
 }
 
-/// The FIFO queue key of message matching: `(source, destination, tag)`.
-pub type SendKey = (Rank, Rank, u32);
-
-/// Pending-send queues per [`SendKey`], in program order — the state
-/// message matching threads from its send-collection pass to its
-/// receive-consumption pass.
-pub type PendingSends = HashMap<SendKey, VecDeque<(EventId, u64)>>;
-
-/// Collect the sends of timeline `p` in program order, as
-/// `(key, send event, bytes)` triples ready to be queued into a
-/// [`PendingSends`] map. One shard of [`match_messages`]'s first pass.
-pub fn collect_sends(trace: &Trace, p: usize) -> Vec<(SendKey, EventId, u64)> {
-    let pt = &trace.procs[p];
-    let from = pt.location.rank;
-    let mut out = Vec::new();
-    for (i, e) in pt.events.iter().enumerate() {
-        if let EventKind::Send { to, tag, bytes } = e.kind {
-            out.push(((from, to, tag.0), EventId::new(p, i), bytes));
-        }
-    }
-    out
+/// Packs the key bits that vary across every fed key into one value:
+/// word `w`'s varying span — its lowest to its highest varying bit — is
+/// shifted down by `lo[w]` and placed at bit `at[w]`. Words keep their
+/// significance order and the dropped bits are equal in every key, so
+/// packed keys sort exactly like the keys they came from.
+struct Packing {
+    lo: [u32; 3],
+    mask: [u32; 3],
+    at: [u32; 3],
+    /// The dropped (constant) bits of each word.
+    fixed: [u32; 3],
+    width: u32,
 }
 
-/// Consume pending sends with the receives of timeline `p`, in program
-/// order: matches are appended to `out.messages`, receives with no pending
-/// send to `out.unmatched_recvs`. One shard of [`match_messages`]'s second
-/// pass — when ranks are unique, every `(from, to, tag)` queue is drained
-/// by exactly one timeline, so per-timeline consumption parallelises
-/// without reordering any queue.
-pub fn consume_recvs(trace: &Trace, p: usize, pending: &mut PendingSends, out: &mut Matching) {
-    let pt = &trace.procs[p];
-    let to = pt.location.rank;
-    for (i, e) in pt.events.iter().enumerate() {
-        if let EventKind::Recv { from, tag, .. } = e.kind {
-            let recv = EventId::new(p, i);
-            match pending.get_mut(&(from, to, tag.0)).and_then(|q| q.pop_front()) {
-                Some((send, bytes)) => out.messages.push(MessageMatch {
-                    send,
-                    recv,
-                    from,
-                    to,
-                    bytes,
-                }),
-                None => out.unmatched_recvs.push(recv),
+impl Packing {
+    /// The packing for keys whose bitwise OR is `any` and AND is `all`.
+    fn new(any: [u32; 3], all: [u32; 3]) -> Packing {
+        let mut p = Packing { lo: [0; 3], mask: [0; 3], at: [0; 3], fixed: all, width: 0 };
+        for w in (0..3).rev() {
+            let varying = any[w] ^ all[w];
+            if varying == 0 {
+                continue;
             }
+            let lo = varying.trailing_zeros();
+            let bits = 32 - varying.leading_zeros() - lo;
+            p.lo[w] = lo;
+            p.mask[w] = u32::MAX >> (32 - bits);
+            p.at[w] = p.width;
+            p.fixed[w] &= !(p.mask[w] << lo);
+            p.width += bits;
         }
+        p
+    }
+
+    /// Pack a fed key, `from << 64 | to << 32 | tag`.
+    fn pack(&self, key: u128) -> u128 {
+        (0..3).fold(0, |acc, w| {
+            let word = (key >> (64 - 32 * w)) as u32;
+            acc | u128::from((word >> self.lo[w]) & self.mask[w]) << self.at[w]
+        })
+    }
+
+    /// Word `w` of the key that packed to `packed`.
+    fn unpack(&self, packed: u128, w: usize) -> u32 {
+        ((packed >> self.at[w]) as u32 & self.mask[w]) << self.lo[w] | self.fixed[w]
     }
 }
 
-/// Per-event message matcher: the streaming face of [`match_messages`].
+/// A fed send or receive as a sort entry: its key, stored as
+/// `hi << 64 | lo`, and its feed position. The key is
+/// `from << 64 | to << 32 | tag` when fed and its [`Packing`] once sorted.
+#[derive(Debug, Clone, Copy, Default)]
+struct Entry {
+    lo: u64,
+    hi: u32,
+    pos: u32,
+}
+
+impl Entry {
+    fn fed(key: [u32; 3], pos: usize) -> Entry {
+        Entry { lo: u64::from(key[1]) << 32 | u64::from(key[2]), hi: key[0], pos: pos as u32 }
+    }
+
+    fn key(&self) -> u128 {
+        u128::from(self.hi) << 64 | u128::from(self.lo)
+    }
+
+    fn set_key(&mut self, key: u128) {
+        (self.lo, self.hi) = (key as u64, (key >> 64) as u32);
+    }
+}
+
+/// Pack the keys of `entries`, then stable-LSD-radix-sort them by packed
+/// key, using `scratch` as the second buffer. Digits cover only the packed
+/// (varying) bits and are 8 to 16 bits wide — about
+/// `log2(entries.len())`, so no histogram outgrows the list it sorts: 60k
+/// messages among 16 ranks with 16-bit tags sort in two passes. All
+/// histograms fill in the packing pass.
+fn radix_sort(entries: &mut Vec<Entry>, scratch: &mut Vec<Entry>, packing: &Packing) {
+    let max_bits = (usize::BITS - entries.len().leading_zeros()).clamp(8, 16);
+    let passes = packing.width.div_ceil(max_bits);
+    let bits = packing.width.div_ceil(passes.max(1));
+    let radix = 1usize << bits;
+    let digit = |key: u128, d: u32| (key >> (d * bits)) as usize & (radix - 1);
+
+    let mut hist = vec![0u32; passes as usize * radix];
+    for e in entries.iter_mut() {
+        let key = packing.pack(e.key());
+        e.set_key(key);
+        for d in 0..passes {
+            hist[d as usize * radix + digit(key, d)] += 1;
+        }
+    }
+    scratch.clear();
+    scratch.resize(entries.len(), Entry::default());
+    for (d, start) in (0..passes).zip(hist.chunks_mut(radix)) {
+        let mut sum = 0;
+        for c in start.iter_mut() {
+            let k = *c;
+            *c = sum;
+            sum += k;
+        }
+        for e in entries.iter() {
+            let slot = &mut start[digit(e.key(), d)];
+            scratch[*slot as usize] = *e;
+            *slot += 1;
+        }
+        std::mem::swap(entries, scratch);
+    }
+}
+
+/// Push-only message matcher: the one matcher behind [`match_messages`],
+/// also fed directly by callers that never materialize a [`Trace`]
+/// (block-directory scans over an on-disk stream).
 ///
-/// Callers that never materialize a [`Trace`] (block-directory scans over
-/// an on-disk stream) feed events one at a time in the same two-pass order
-/// the batch function uses — every timeline's sends in program order, then
-/// every timeline's receives in program order — and [`finish`] yields a
-/// [`Matching`] bit-identical to the batch result.
+/// Feeding only appends a key and an event id — no hashing, no per-key
+/// queue. Events may arrive in any order, sends and receives interleaved.
+/// [`finish`] puts each list in event-id order — already the case when
+/// timelines are fed one after another, each in program order, as every
+/// caller here does — then stably sorts both lists by key and zips the
+/// equal-key runs, so the result is the same for every feed order.
 ///
 /// [`finish`]: MessageMatcher::finish
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct MessageMatcher {
-    pending: PendingSends,
-    out: Matching,
+    sends: Vec<Entry>,
+    /// Event and payload size of each send, by feed position.
+    send_meta: Vec<(EventId, u64)>,
+    recvs: Vec<Entry>,
+    /// Event of each receive, by feed position.
+    recv_ids: Vec<EventId>,
+    /// Bitwise OR and AND over every fed key.
+    any: [u32; 3],
+    all: [u32; 3],
+    /// Some list was fed out of event-id order.
+    unordered: bool,
+}
+
+impl Default for MessageMatcher {
+    fn default() -> Self {
+        Self::with_capacity(0)
+    }
 }
 
 impl MessageMatcher {
-    /// Fresh matcher with no pending sends.
+    /// Fresh matcher with nothing fed.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Pass 1: feed event `i` of timeline `p` (whose location rank is
-    /// `from`). Non-`Send` kinds are ignored.
+    /// Fresh matcher with room for `messages` sends and as many receives.
+    pub fn with_capacity(messages: usize) -> Self {
+        MessageMatcher {
+            sends: Vec::with_capacity(messages),
+            send_meta: Vec::with_capacity(messages),
+            recvs: Vec::with_capacity(messages),
+            recv_ids: Vec::with_capacity(messages),
+            any: [0; 3],
+            all: [u32::MAX; 3],
+            unordered: false,
+        }
+    }
+
+    /// Record a fed key and whether `id` breaks event-id order after
+    /// `last`, the previous id of the same list.
+    fn note(&mut self, key: [u32; 3], last: Option<EventId>, id: EventId) {
+        for (w, k) in key.into_iter().enumerate() {
+            self.any[w] |= k;
+            self.all[w] &= k;
+        }
+        self.unordered |= last.is_some_and(|last| last > id);
+    }
+
+    /// Feed event `i` of timeline `p` (whose location rank is `from`).
+    /// Non-`Send` kinds are ignored.
     pub fn feed_send(&mut self, from: Rank, p: usize, i: usize, kind: &EventKind) {
         if let EventKind::Send { to, tag, bytes } = *kind {
-            self.pending
-                .entry((from, to, tag.0))
-                .or_default()
-                .push_back((EventId::new(p, i), bytes));
+            let (key, id) = ([from.0, to.0, tag.0], EventId::new(p, i));
+            self.note(key, self.send_meta.last().map(|m| m.0), id);
+            self.sends.push(Entry::fed(key, self.send_meta.len()));
+            self.send_meta.push((id, bytes));
         }
     }
 
-    /// Pass 2: feed event `i` of timeline `p` (whose location rank is
-    /// `to`). Non-`Recv` kinds are ignored; receives consume pending sends
-    /// FIFO, per MPI's non-overtaking rule.
+    /// Feed event `i` of timeline `p` (whose location rank is `to`).
+    /// Non-`Recv` kinds are ignored.
     pub fn feed_recv(&mut self, to: Rank, p: usize, i: usize, kind: &EventKind) {
         if let EventKind::Recv { from, tag, .. } = *kind {
-            let recv = EventId::new(p, i);
-            match self
-                .pending
-                .get_mut(&(from, to, tag.0))
-                .and_then(|q| q.pop_front())
-            {
-                Some((send, bytes)) => self.out.messages.push(MessageMatch {
-                    send,
-                    recv,
-                    from,
-                    to,
-                    bytes,
-                }),
-                None => self.out.unmatched_recvs.push(recv),
-            }
+            let (key, id) = ([from.0, to.0, tag.0], EventId::new(p, i));
+            self.note(key, self.recv_ids.last().copied(), id);
+            self.recvs.push(Entry::fed(key, self.recv_ids.len()));
+            self.recv_ids.push(id);
         }
     }
 
-    /// Drain leftover sends into `unmatched_sends` and return the matching.
+    /// Match everything fed. `messages` and `unmatched_recvs` come out in
+    /// receive event-id order, `unmatched_sends` in send event-id order.
     pub fn finish(mut self) -> Matching {
-        for q in self.pending.values() {
-            self.out.unmatched_sends.extend(q.iter().map(|&(id, _)| id));
+        let (meta, recv_ids, unordered) = (&self.send_meta, &self.recv_ids, self.unordered);
+        if unordered {
+            self.sends.sort_by_key(|e| meta[e.pos as usize].0);
+            self.recvs.sort_by_key(|e| recv_ids[e.pos as usize]);
         }
-        self.out.unmatched_sends.sort();
-        self.out
+        let packing = Packing::new(self.any, self.all);
+        let mut scratch = Vec::new();
+        radix_sort(&mut self.sends, &mut scratch, &packing);
+        radix_sort(&mut self.recvs, &mut scratch, &packing);
+        drop(scratch);
+        let (s, r) = (&self.sends, &self.recvs);
+
+        // Zip the equal-key runs: the k-th send of a key pairs with the
+        // k-th receive of that key (FIFO, since the sorts are stable).
+        // `partner` maps a receive's feed position to its send's index
+        // in `s`.
+        const UNMATCHED: u32 = u32::MAX;
+        let mut partner = vec![UNMATCHED; r.len()];
+        let mut matched = vec![false; s.len()];
+        let (mut i, mut j, mut pairs) = (0, 0, 0);
+        while i < s.len() && j < r.len() {
+            match s[i].key().cmp(&r[j].key()) {
+                Ordering::Less => i += 1,
+                Ordering::Greater => j += 1,
+                Ordering::Equal => {
+                    partner[r[j].pos as usize] = i as u32;
+                    matched[s[i].pos as usize] = true;
+                    (i, j, pairs) = (i + 1, j + 1, pairs + 1);
+                }
+            }
+        }
+
+        let mut out = Matching {
+            messages: Vec::with_capacity(pairs),
+            unmatched_sends: Vec::with_capacity(s.len() - pairs),
+            unmatched_recvs: Vec::with_capacity(r.len() - pairs),
+        };
+        for (&recv, &si) in recv_ids.iter().zip(&partner) {
+            if si == UNMATCHED {
+                out.unmatched_recvs.push(recv);
+                continue;
+            }
+            let send = s[si as usize];
+            let (id, bytes) = meta[send.pos as usize];
+            let key = send.key();
+            out.messages.push(MessageMatch {
+                send: id,
+                recv,
+                from: Rank(packing.unpack(key, 0)),
+                to: Rank(packing.unpack(key, 1)),
+                bytes,
+            });
+        }
+        out.unmatched_sends
+            .extend((meta.iter().zip(&matched)).filter(|&(_, &m)| !m).map(|(&(id, _), _)| id));
+        if unordered {
+            out.messages.sort_by_key(|m| m.recv);
+            out.unmatched_sends.sort();
+            out.unmatched_recvs.sort();
+        }
+        out
     }
 }
 
@@ -166,24 +322,16 @@ impl MessageMatcher {
 ///
 /// The trace's timelines are indexed by rank position in `trace.procs`;
 /// ranks referenced by `Send`/`Recv` events are resolved through each
-/// timeline's location.
+/// timeline's location. One pass over the trace feeds a
+/// [`MessageMatcher`], sized for a trace of only point-to-point events,
+/// half sends and half receives.
 pub fn match_messages(trace: &Trace) -> Matching {
-    // FIFO queues of pending sends per (from, to, tag), collected in
-    // per-timeline order (which is program order, the order MPI's
-    // non-overtaking rule speaks about).
-    let mut m = MessageMatcher::new();
-    for p in 0..trace.n_procs() {
-        let from = trace.procs[p].location.rank;
-        for (i, e) in trace.procs[p].events.iter().enumerate() {
-            m.feed_send(from, p, i, &e.kind);
-        }
-    }
-
-    // Second pass: receives consume sends FIFO.
-    for p in 0..trace.n_procs() {
-        let to = trace.procs[p].location.rank;
-        for (i, e) in trace.procs[p].events.iter().enumerate() {
-            m.feed_recv(to, p, i, &e.kind);
+    let mut m = MessageMatcher::with_capacity(trace.n_events() / 2);
+    for (p, pt) in trace.procs.iter().enumerate() {
+        let rank = pt.location.rank;
+        for (i, e) in pt.events.iter().enumerate() {
+            m.feed_send(rank, p, i, &e.kind);
+            m.feed_recv(rank, p, i, &e.kind);
         }
     }
     m.finish()
@@ -221,9 +369,9 @@ impl CollectiveInstance {
     }
 }
 
-/// One collective call of one timeline, in call order — the unit
-/// [`collect_collective_calls`] scans out and
-/// [`assemble_collective_instances`] zips into instances.
+/// One collective call of one timeline, in call order — the unit a
+/// [`CollectiveScanner`] scans out and [`assemble_collective_instances`]
+/// zips into instances.
 #[derive(Debug, Clone, Copy)]
 pub struct CollCall {
     /// Rank of the calling timeline.
@@ -238,10 +386,9 @@ pub struct CollCall {
     pub root: Option<Rank>,
 }
 
-/// Per-event collective call scanner for one timeline: the streaming face
-/// of [`collect_collective_calls`]. Feed every event of timeline `p` in
-/// program order; [`finish`] yields the per-communicator call lists the
-/// batch scan would have produced, ready for
+/// Per-event collective call scanner for one timeline. Feed every event
+/// of timeline `p` in program order; [`finish`] yields its
+/// per-communicator call lists, ready for
 /// [`assemble_collective_instances`].
 ///
 /// [`finish`]: CollectiveScanner::finish
@@ -300,26 +447,10 @@ impl CollectiveScanner {
     }
 }
 
-/// Scan timeline `p` for collective calls, grouped per communicator in
-/// call order. One shard of [`match_collectives`]'s scan pass. Errors on a
-/// `CollEnd` with no open `CollBegin` on the same communicator.
-pub fn collect_collective_calls(
-    trace: &Trace,
-    p: usize,
-) -> Result<HashMap<CommId, Vec<CollCall>>, String> {
-    let pt = &trace.procs[p];
-    let mut scanner = CollectiveScanner::new(p, pt.location.rank);
-    for (i, e) in pt.events.iter().enumerate() {
-        scanner.feed(i, &e.kind)?;
-    }
-    Ok(scanner.finish())
-}
-
 /// Zip the per-timeline call lists of one communicator into instances:
 /// the k-th call of every participating timeline belongs to instance k.
 /// `lists[p]` is timeline `p`'s call list (empty for non-participants).
-/// One shard of [`match_collectives`]'s assembly pass — communicators are
-/// independent, so they parallelise freely.
+/// One communicator of [`match_collectives`]'s assembly pass.
 pub fn assemble_collective_instances(
     comm: CommId,
     lists: &[Vec<CollCall>],
@@ -379,13 +510,15 @@ pub fn assemble_collective_instances(
 /// differs across ranks indicate a malformed trace and are reported via
 /// `Err` with the instance index.
 pub fn match_collectives(trace: &Trace) -> Result<Vec<CollectiveInstance>, String> {
+    let n = trace.n_procs();
     let mut per_comm: HashMap<CommId, Vec<Vec<CollCall>>> = HashMap::new();
-    for p in 0..trace.n_procs() {
-        for (comm, list) in collect_collective_calls(trace, p)? {
-            let lists = per_comm
-                .entry(comm)
-                .or_insert_with(|| vec![Vec::new(); trace.n_procs()]);
-            lists[p] = list;
+    for (p, pt) in trace.procs.iter().enumerate() {
+        let mut scanner = CollectiveScanner::new(p, pt.location.rank);
+        for (i, e) in pt.events.iter().enumerate() {
+            scanner.feed(i, &e.kind)?;
+        }
+        for (comm, list) in scanner.finish() {
+            per_comm.entry(comm).or_insert_with(|| vec![Vec::new(); n])[p] = list;
         }
     }
 

@@ -34,10 +34,9 @@ pub mod trace;
 pub mod violation;
 
 pub use analysis::{
-    assemble_collective_instances, collect_collective_calls, collect_sends, consume_recvs,
-    match_collectives, match_messages, match_parallel_regions, CollCall, CollMember,
-    CollectiveInstance, CollectiveScanner, Matching, MessageMatch, MessageMatcher, ParallelRegion,
-    PendingSends, RegionThread, SendKey,
+    assemble_collective_instances, match_collectives, match_messages, match_parallel_regions,
+    CollCall, CollMember, CollectiveInstance, CollectiveScanner, Matching, MessageMatch,
+    MessageMatcher, ParallelRegion, RegionThread,
 };
 pub use census::{CensusPlan, PlanBuildError};
 pub use column::{TimeColumn, TimeSource, TraceColumns};

@@ -3,7 +3,8 @@
 #
 #   ./scripts/ci.sh
 #
-# 1. tier-1 (ROADMAP): release build + full test suite
+# 1. tier-1 (ROADMAP): release build + root package test suite, then
+#    every test of every workspace crate
 # 2. lint gate: clippy over the whole workspace, warnings are errors
 # 3. ignored stress tests (~1M-event parallel pipeline run) — opt-in via
 #    DRIFT_STRESS=1, they dominate the wall time of the whole script
@@ -11,8 +12,9 @@
 #    ingest smoke run also enforces the >=1.5x chunked-ingest speedup and
 #    the >=2x v3 zero-copy ingest speedup and refreshes BENCH_ingest.json,
 #    the pipeline smoke run refreshes BENCH_pipeline.json and the perf
-#    gates below fail the script if the parallel-CLC speedup over serial
-#    or the SIMD census-kernel / v3-ingest throughput regresses; the
+#    gates below fail the script if the parallel-CLC speedup over serial,
+#    the analysis front end's (match+lower)/clc ratio on the unique-tag
+#    trace or the SIMD census-kernel / v3-ingest throughput regresses; the
 #    syncd smoke run refreshes BENCH_syncd.json and a sanity gate checks
 #    its report; the incremental smoke run refreshes
 #    BENCH_incremental.json and the residency gate fails the script if
@@ -39,6 +41,9 @@ cargo build --release
 
 echo "==> tier-1: cargo test -q"
 cargo test -q
+
+echo "==> workspace: cargo test -q --workspace"
+cargo test -q --workspace
 
 echo "==> lint: cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
@@ -80,6 +85,9 @@ cargo bench -p bench --bench online -- --test
 # cores exist. One worker runs per process timeline, so on a single-core
 # host the workers only time-slice — wall-clock speedup is impossible
 # there and the bench's own sanity floor (>=0.25x) is the only check.
+# The bench times strictly alternating serial/replay rounds of >=200 ms
+# each and records the median ratio over the pairs (plus its min/max);
+# this gate reads that median.
 echo "==> perf gate: parallel-CLC speedup from BENCH_pipeline.json"
 speedup=$(sed -n 's/.*"clc_parallel_over_serial_speedup": \([0-9.]*\).*/\1/p' BENCH_pipeline.json)
 cpus=$(nproc 2>/dev/null || echo 1)
@@ -96,6 +104,25 @@ if [[ "$cpus" -ge 2 ]]; then
     fi
 else
     echo "    (single cpu: wall-clock gate not applicable, bench sanity floor applies)"
+fi
+
+# Analysis front-end gate: on the unique-tag trace, message matching plus
+# CSR lowering must cost no more than the CLC they feed. Both sides are
+# stage timings of the same sequential pipeline runs, so the gate is a
+# same-host ratio, not an absolute time; the bench records the median over
+# rounds of >=200 ms each, for the unique-tag and the 4-tag shape (the
+# latter is recorded against ROADMAP's target, not gated).
+echo "==> perf gate: (match+lower)/clc from BENCH_pipeline.json"
+fe_unique=$(sed -n 's/.*"unique_match_lower_over_clc": \([0-9.]*\).*/\1/p' BENCH_pipeline.json)
+fe_tags4=$(sed -n 's/.*"tags4_match_lower_over_clc": \([0-9.]*\).*/\1/p' BENCH_pipeline.json)
+if [[ -z "$fe_unique" || -z "$fe_tags4" ]]; then
+    echo "perf gate: could not read match_lower_over_clc from BENCH_pipeline.json" >&2
+    exit 1
+fi
+echo "    (match+lower)/clc: unique tags ${fe_unique}, 4 tags ${fe_tags4} (recorded)"
+if ! awk -v r="$fe_unique" 'BEGIN { exit !(r <= 1.0) }'; then
+    echo "perf gate: unique-tag (match+lower)/clc ${fe_unique} > 1.0" >&2
+    exit 1
 fi
 
 # Kernel-throughput gate: the SIMD-width census kernels and the v3
