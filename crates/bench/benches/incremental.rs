@@ -24,7 +24,6 @@
 
 use clocksync::{
     synchronize_stream_incremental, ClcParams, IncrementalReport, PipelineConfig, PreSync,
-    TimestampStorage,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -94,8 +93,6 @@ fn main() {
     let cfg = PipelineConfig {
         presync: PreSync::None,
         clc: Some(ClcParams::default()),
-        parallel: None,
-        storage: TimestampStorage::Columnar,
         ..PipelineConfig::default()
     };
     let init = vec![None; PROCS];

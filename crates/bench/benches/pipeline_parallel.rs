@@ -1,9 +1,8 @@
 //! Throughput of the synchronisation pipeline on a large trace (≥100k
 //! events): the per-stage-reanalysis baseline (what the pipeline did before
-//! analysis caching — matching recomputed for every census), the cached
-//! sequential path, and the sharded parallel path (CSR-lowered analysis +
-//! batched ring replay), plus an engine-level serial-vs-replay CLC
-//! comparison on the same trace, timed as strictly alternating rounds.
+//! analysis caching — matching recomputed for every census) against the
+//! cached pipeline, the public CLC's throughput on the same trace, and the
+//! census kernels against the reference per-item checks.
 //!
 //! The trace comes in two tag shapes: one tag per message, and the same
 //! generator with 4 reused tags. For each shape the sequential pipeline's
@@ -14,18 +13,10 @@
 //! `-- --test` for the CI smoke run: fewer repetitions, same report).
 //! Either way the events/sec summary is written to `BENCH_pipeline.json`
 //! at the repository root.
-//!
-//! The CLC speedup gate is CPU-aware: the replay engine runs one worker
-//! per process timeline, so on a single-core host the workers only
-//! time-slice one core and wall-clock parallel speedup is physically
-//! impossible — the bench then only sanity-checks that the batched replay
-//! stays within a small constant factor of serial (and records the honest
-//! numbers plus the `cpus` count in the JSON for the CI gate to interpret).
 
 use clocksync::{
-    apply_maps, controlled_logical_clock, controlled_logical_clock_parallel, synchronize,
-    ClcParams, LinearInterpolation, OffsetMeasurement, ParallelConfig, PipelineConfig, PreSync,
-    TimestampMap,
+    apply_maps, controlled_logical_clock, synchronize, ClcParams, LinearInterpolation,
+    OffsetMeasurement, PipelineConfig, PreSync, TimestampMap,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -193,9 +184,9 @@ impl Spread {
     }
 }
 
-/// Rounds per timed comparison, and the least work one round may do:
-/// strictly alternating rounds of ≥200 ms each, medians over rounds
-/// (the arXiv:1505.07734 design).
+/// Rounds per timed measurement, and the least work one round may do:
+/// rounds of ≥200 ms each, medians over rounds (the arXiv:1505.07734
+/// design).
 const ROUNDS: usize = 7;
 const MIN_ROUND: Duration = Duration::from_millis(200);
 
@@ -291,32 +282,12 @@ fn main() {
     let seq_cfg = PipelineConfig {
         presync: PreSync::Linear,
         clc: Some(ClcParams::default()),
-        parallel: None,
         ..Default::default()
     };
-    let par_cfg = PipelineConfig {
-        parallel: Some(ParallelConfig::default()),
-        ..seq_cfg.clone()
-    };
-
-    // Bit-identity first: the parallel path must reproduce the sequential
-    // one exactly before its throughput means anything.
     {
-        let mut seq = trace.clone();
-        let mut par = trace.clone();
-        let rs = synchronize(&mut seq, &init, Some(&fin), &lmin, &seq_cfg).unwrap();
-        let rp = synchronize(&mut par, &init, Some(&fin), &lmin, &par_cfg).unwrap();
-        for p in 0..seq.n_procs() {
-            assert_eq!(
-                seq.procs[p].events, par.procs[p].events,
-                "parallel pipeline diverged from sequential on proc {p}"
-            );
-        }
-        assert_eq!(
-            rs.after_clc.map(|c| c.total_violations()),
-            rp.after_clc.map(|c| c.total_violations()),
-        );
-        eprintln!("{}", rp.stats.render());
+        let mut t = trace.clone();
+        let rep = synchronize(&mut t, &init, Some(&fin), &lmin, &seq_cfg).unwrap();
+        eprintln!("{}", rep.stats.render());
     }
 
     // Full-pipeline engines.
@@ -325,35 +296,24 @@ fn main() {
     let t_seq = best_of_cloned(iters, &trace, |t| {
         synchronize(t, &init, Some(&fin), &lmin, &seq_cfg).expect("pipeline runs")
     });
-    let t_par = best_of_cloned(iters, &trace, |t| {
-        synchronize(t, &init, Some(&fin), &lmin, &par_cfg).expect("pipeline runs")
-    });
 
-    // Engine-level CLC comparison: serial map-based reference vs CSR
-    // batched-ring replay, on identical presynced input.
+    // The public CLC entry point on presynced input.
     let presynced = {
         let mut t = trace.clone();
         let presync_only = PipelineConfig { clc: None, ..seq_cfg.clone() };
         synchronize(&mut t, &init, Some(&fin), &lmin, &presync_only).expect("presync runs");
         t
     };
-    // Strictly alternating serial/replay rounds; the gate reads the
-    // median of the per-pair ratios.
     let params = ClcParams::default();
-    let (mut eps_clc_serial, mut eps_clc_par, mut clc_ratio) = (vec![], vec![], vec![]);
-    for _ in 0..ROUNDS {
-        let serial = round_events_per_sec(&presynced, |t| {
-            controlled_logical_clock(t, &lmin, &params).expect("serial CLC runs")
-        });
-        let replay = round_events_per_sec(&presynced, |t| {
-            controlled_logical_clock_parallel(t, &lmin, &params).expect("parallel CLC runs")
-        });
-        eps_clc_serial.push(serial);
-        eps_clc_par.push(replay);
-        clc_ratio.push(replay / serial);
-    }
-    let (eps_clc_serial, eps_clc_par, clc_speedup) =
-        (Spread::of(eps_clc_serial), Spread::of(eps_clc_par), Spread::of(clc_ratio));
+    let eps_clc_serial = Spread::of(
+        (0..ROUNDS)
+            .map(|_| {
+                round_events_per_sec(&presynced, |t| {
+                    controlled_logical_clock(t, &lmin, &params).expect("CLC runs")
+                })
+            })
+            .collect(),
+    );
 
     // The analysis front end against the CLC, per tag shape.
     let unique = front_end(&trace, &init, &fin, &lmin, &seq_cfg);
@@ -412,27 +372,18 @@ fn main() {
     let eps_reanalysis = events_per_sec(n_events, t_reanalysis);
     let eps_seq = events_per_sec(n_events, t_seq);
     let eps_seq4 = events_per_sec(trace4.n_events(), t_seq4);
-    let eps_par = events_per_sec(n_events, t_par);
     let eps_census_ref = events_per_sec(n_events, t_census_ref);
     let eps_census = events_per_sec(n_events, t_census_kernel);
-    let pipeline_speedup = eps_par / eps_seq;
     let census_speedup = eps_census / eps_census_ref;
-    let (clc_s, clc_p, clc_r) = (eps_clc_serial.median, eps_clc_par.median, &clc_speedup);
+    let clc_s = eps_clc_serial.median;
 
     println!("pipeline: {n_events} events, {PROCS} procs, {cpus} cpu(s)");
     println!("  seed_reanalysis  {eps_reanalysis:>12.0} events/s  ({t_reanalysis:?})");
     println!("  sequential       {eps_seq:>12.0} events/s  ({t_seq:?})");
     println!("  sequential 4tag  {eps_seq4:>12.0} events/s  ({t_seq4:?})");
-    println!("  parallel         {eps_par:>12.0} events/s  ({t_par:?})");
     println!("  clc_serial       {clc_s:>12.0} events/s  (median of {ROUNDS} rounds)");
-    println!("  clc_parallel     {clc_p:>12.0} events/s  (median of {ROUNDS} rounds)");
     println!("  census_reference {eps_census_ref:>12.0} events/s  ({t_census_ref:?})");
     println!("  census_kernel    {eps_census:>12.0} events/s  ({t_census_kernel:?})");
-    println!("  parallel/sequential pipeline speedup: {pipeline_speedup:.2}x");
-    println!(
-        "  parallel/serial CLC speedup: {:.2}x median [{:.2}, {:.2}] over {ROUNDS} pairs",
-        clc_r.median, clc_r.min, clc_r.max
-    );
     println!("  kernel/reference census speedup: {census_speedup:.2}x");
     unique.print("unique");
     tags4.print("tags4");
@@ -444,14 +395,10 @@ fn main() {
         format!("\"seed_reanalysis_events_per_sec\": {eps_reanalysis:.0}"),
         format!("\"sequential_events_per_sec\": {eps_seq:.0}"),
         format!("\"tags4_sequential_events_per_sec\": {eps_seq4:.0}"),
-        format!("\"parallel_events_per_sec\": {eps_par:.0}"),
-        format!("\"parallel_over_sequential_speedup\": {pipeline_speedup:.3}"),
         format!("\"clc_rounds\": {ROUNDS}"),
         format!("\"clc_min_round_ms\": {}", MIN_ROUND.as_millis()),
     ];
     members.extend(eps_clc_serial.members("clc_serial_events_per_sec", 0));
-    members.extend(eps_clc_par.members("clc_parallel_events_per_sec", 0));
-    members.extend(clc_speedup.members("clc_parallel_over_serial_speedup", 3));
     members.push(format!("\"census_reference_events_per_sec\": {eps_census_ref:.0}"));
     members.push(format!("\"census_events_per_sec\": {eps_census:.0}"));
     members.push(format!("\"census_kernel_over_reference_speedup\": {census_speedup:.3}"));
@@ -470,29 +417,6 @@ fn main() {
         "cached pipeline must be >= 1.2x the reanalysis baseline, got {:.2}x",
         eps_seq / eps_reanalysis
     );
-    // The CLC speedup gate depends on real parallelism being available;
-    // it reads the median over the alternating round pairs.
-    let clc_speedup = clc_speedup.median;
-    if cpus >= 4 {
-        assert!(
-            clc_speedup >= 1.3,
-            "parallel CLC must be >= 1.3x serial on {cpus} cpus, got {clc_speedup:.2}x"
-        );
-    } else if cpus >= 2 {
-        assert!(
-            clc_speedup >= 0.95,
-            "parallel CLC must be >= 0.95x serial on {cpus} cpus, got {clc_speedup:.2}x"
-        );
-    } else {
-        // Single-cpu host: wall-clock parallel speedup is impossible, but
-        // the parallel entry point now falls back to the serial CSR kernel
-        // outright, so it must stay within measurement noise of serial.
-        println!("  (single-cpu host: serial-fallback parity floor)");
-        assert!(
-            clc_speedup >= 0.95,
-            "1-cpu serial fallback must stay >= 0.95x serial, got {clc_speedup:.2}x"
-        );
-    }
     // Both census lanes are single-threaded, so this gate is CPU-count
     // independent: the planned columnar kernels must beat the AoS
     // reference walk by the tentpole's 3x floor.

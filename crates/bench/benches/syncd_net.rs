@@ -4,11 +4,13 @@
 //! The socket path pays for everything the in-process path skips — frame
 //! encode/decode, two kernel copies per direction, credit round-trips,
 //! and re-encoding the corrected trace for the reply — so it cannot win;
-//! the gate bounds how much it may lose. Timings are the median of three
-//! strictly alternating rounds (in-process, socket, in-process, …; the
-//! arXiv:1505.07734 methodology, same as the `syncd_throughput` bench),
-//! and the report also carries the *minimum* ratio across rounds so a
-//! regression cannot hide behind one lucky round.
+//! the gate bounds how much it may lose. The two sides run as strictly
+//! alternating rounds (in-process, socket, in-process, …; the
+//! arXiv:1505.07734 methodology): each round repeats the whole job set
+//! against a fresh service or server until at least 200 ms of timed work
+//! has accumulated, and each in-process/socket pair gives one throughput
+//! ratio. The report carries the median, minimum and maximum ratio over
+//! the pairs; the gate reads the median.
 //!
 //! Run with `cargo bench -p bench --bench syncd_net` (add `-- --test`
 //! for the CI smoke run). Writes `BENCH_syncd_net.json` at the repo
@@ -19,7 +21,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use simclock::{Dur, Time};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 use syncd::{
     chunked, JobInput, JobSpec, NetServer, NetServerConfig, ServiceConfig, SyncService,
     TenantConfig,
@@ -160,9 +162,26 @@ fn run_socket(set: &[BenchJob], lmin: UniformLatency, clients: usize) -> f64 {
     elapsed
 }
 
-fn median(xs: &mut [f64]) -> f64 {
-    xs.sort_by(|a, b| a.partial_cmp(b).expect("no NaN timings"));
-    xs[xs.len() / 2]
+/// Alternating round pairs, and the least timed work one round may do.
+const ROUNDS: usize = 7;
+const MIN_ROUND: Duration = Duration::from_millis(200);
+
+/// Jobs per second of one round: repeat `run` (one pass over the `jobs`
+/// job set, returning its timed seconds) until [`MIN_ROUND`] of timed
+/// work has accumulated.
+fn round_jobs_per_sec(jobs: usize, mut run: impl FnMut() -> f64) -> f64 {
+    let (mut secs, mut passes) = (0.0, 0usize);
+    while secs < MIN_ROUND.as_secs_f64() {
+        secs += run();
+        passes += 1;
+    }
+    (jobs * passes) as f64 / secs
+}
+
+/// Median, min and max of the per-round values.
+fn spread(mut xs: Vec<f64>) -> (f64, f64, f64) {
+    xs.sort_by(f64::total_cmp);
+    (xs[xs.len() / 2], xs[0], xs[xs.len() - 1])
 }
 
 fn main() {
@@ -178,40 +197,38 @@ fn main() {
         "syncd_net: {jobs} jobs, {events} events total, {clients} client(s), {cpus} cpu(s)"
     );
 
-    const ROUNDS: usize = 3;
-    let mut inproc_times = Vec::with_capacity(ROUNDS);
-    let mut socket_times = Vec::with_capacity(ROUNDS);
-    let mut ratios = Vec::with_capacity(ROUNDS);
+    let (mut inproc, mut socket, mut ratios) = (vec![], vec![], vec![]);
     for round in 0..ROUNDS {
-        let i = run_inproc(&set, &lmin_arc);
-        let s = run_socket(&set, lmin, clients);
+        let i = round_jobs_per_sec(jobs, || run_inproc(&set, &lmin_arc));
+        let s = round_jobs_per_sec(jobs, || run_socket(&set, lmin, clients));
         println!(
-            "  round {}: in-process {i:.3}s, socket {s:.3}s, ratio {:.3}x",
+            "  round {}: in-process {i:.1} jobs/s, socket {s:.1} jobs/s, ratio {:.3}x",
             round + 1,
-            i / s
+            s / i
         );
-        inproc_times.push(i);
-        socket_times.push(s);
-        ratios.push(i / s);
+        inproc.push(i);
+        socket.push(s);
+        ratios.push(s / i);
     }
-    let t_inproc = median(&mut inproc_times);
-    let t_socket = median(&mut socket_times);
-    let ratio = median(&mut ratios);
-    let ratio_min = ratios.first().copied().expect("rounds ran"); // sorted by median()
-
-    let inproc_jps = jobs as f64 / t_inproc;
-    let socket_jps = jobs as f64 / t_socket;
-    println!("  in-process  {inproc_jps:>9.1} jobs/s  (median {t_inproc:.3}s)");
-    println!("  socket      {socket_jps:>9.1} jobs/s  (median {t_socket:.3}s)");
-    println!("  socket/in-process ratio: median {ratio:.3}x, min {ratio_min:.3}x");
+    let (inproc_jps, ..) = spread(inproc);
+    let (socket_jps, ..) = spread(socket);
+    let (ratio, ratio_min, ratio_max) = spread(ratios);
+    println!("  in-process  {inproc_jps:>9.1} jobs/s  (median of {ROUNDS} rounds)");
+    println!("  socket      {socket_jps:>9.1} jobs/s  (median of {ROUNDS} rounds)");
+    println!(
+        "  socket/in-process ratio: median {ratio:.3}x [{ratio_min:.3}, {ratio_max:.3}]"
+    );
 
     let json = format!(
         "{{\n  \"jobs\": {jobs},\n  \"events\": {events},\n  \"cpus\": {cpus},\n  \
          \"clients\": {clients},\n  \"rounds\": {ROUNDS},\n  \
+         \"min_round_ms\": {},\n  \
          \"inproc_jobs_per_sec\": {inproc_jps:.2},\n  \
          \"socket_jobs_per_sec\": {socket_jps:.2},\n  \
          \"socket_over_inproc_ratio\": {ratio:.3},\n  \
-         \"socket_over_inproc_ratio_min\": {ratio_min:.3}\n}}\n"
+         \"socket_over_inproc_ratio_min\": {ratio_min:.3},\n  \
+         \"socket_over_inproc_ratio_max\": {ratio_max:.3}\n}}\n",
+        MIN_ROUND.as_millis()
     );
     let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_syncd_net.json");
     std::fs::write(out, json).expect("write BENCH_syncd_net.json");

@@ -1,37 +1,36 @@
 //! CLC kernels over columnar timestamp storage and the CSR graph.
 //!
-//! These re-implement the serial forward/backward passes of [`super`] as
-//! tight loops over dense `i64` picosecond columns ([`TraceColumns`])
-//! driven by the flat [`DepGraph`] instead of per-record struct walks and
-//! hash-map probes. The arithmetic is copied statement for statement, and
-//! the structural differences cannot change behaviour:
+//! The forward and backward passes run as tight loops over dense `i64`
+//! picosecond columns ([`TraceColumns`]) driven by the flat [`DepGraph`],
+//! instead of per-record struct walks and hash-map probes. They are
+//! statement-level ports of the map-based reference passes, which now live
+//! with the tests as an oracle (`tests/common/oracle.rs`). The structural
+//! differences cannot change behaviour:
 //!
-//! * the AoS passes dispatch on `EventKind` before consulting the
+//! * the reference dispatches on `EventKind` before consulting its
 //!   dependency maps; the CSR passes consult `in_of`/`out_of` directly.
 //!   Only matched receives and collective ends have in-edges, only matched
 //!   sends and collective begins out-edges, so a non-empty edge slice
-//!   implies exactly the kind the AoS match required and an empty one
+//!   implies exactly the kind the reference required and an empty one
 //!   leaves the event unconstrained in both versions;
 //! * the remote bound is a `max` over the same contribution set (edge
 //!   latencies are baked in at build, equal in both directions of every
 //!   edge), and `max` is order-independent — though the CSR in-edge order
-//!   equals the AoS dispatch order anyway, so even the round-robin blocking
-//!   schedule (break at the first pending producer) is preserved;
+//!   equals the reference dispatch order anyway, so even the round-robin
+//!   blocking schedule (break at the first pending producer) is preserved;
 //! * backward clamping takes a `min` over the same out-edge set against
 //!   the same post-forward snapshot.
 //!
-//! Bit-identity is enforced by this module's tests against the AoS
-//! reference and by the differential matrices in
-//! `tests/columnar_differential.rs` and `tests/csr_differential.rs`.
+//! Bit-identity with the oracle is enforced by `tests/clc_oracle.rs`.
 
 use super::graph::DepGraph;
 use super::{ClcError, ClcParams, ClcReport, Jump};
 use simclock::{Dur, Time};
 use tracefmt::{EventId, TraceColumns};
 
-/// Serial CLC on timestamp columns over the CSR graph: the columnar twin
-/// of [`super::controlled_logical_clock_with_deps`]. Latencies live on the
-/// graph edges, so no latency model is consulted here.
+/// The CLC on timestamp columns over the CSR graph. Latencies live on the
+/// graph edges, so no latency model is consulted here. On error the
+/// columns are left untouched.
 pub(crate) fn controlled_logical_clock_columnar_csr(
     cols: &mut TraceColumns,
     graph: &DepGraph,
@@ -41,7 +40,7 @@ pub(crate) fn controlled_logical_clock_columnar_csr(
     let originals = flatten_by_gid(cols);
     let mut report = forward_pass_csr(cols, graph, &originals, params.mu)?;
     if params.backward {
-        backward_amortization_csr(cols, graph, params, &report.jumps, false);
+        backward_amortization_csr(cols, graph, params, &report.jumps);
         let post = flatten_by_gid(cols);
         let _ = forward_pass_csr(cols, graph, &post, 1.0)?;
     }
@@ -80,8 +79,7 @@ pub(crate) fn events_moved(cols: &TraceColumns, originals: &[i64]) -> usize {
 }
 
 /// The forward pass over CSR in-edges: assign corrected times in
-/// dependency order, round-robin across timelines, exactly like
-/// [`super::forward_pass`].
+/// dependency order, round-robin across timelines.
 ///
 /// `originals` is the pre-pass trace flattened by gid
 /// ([`flatten_by_gid`]); corrected times accumulate in a flat slab of the
@@ -89,8 +87,7 @@ pub(crate) fn events_moved(cols: &TraceColumns, originals: &[i64]) -> usize {
 /// column indirection, no binary-search `locate` (the producer-pending
 /// check compares raw gids against a per-timeline frontier). Columns are
 /// overwritten from the slab once the pass completes; on
-/// [`ClcError::CyclicTrace`] they are left untouched. The arithmetic is
-/// statement-identical to the AoS reference.
+/// [`ClcError::CyclicTrace`] they are left untouched.
 pub(crate) fn forward_pass_csr(
     cols: &mut TraceColumns,
     graph: &DepGraph,
@@ -101,8 +98,7 @@ pub(crate) fn forward_pass_csr(
     let lens: Vec<usize> = (0..n).map(|p| cols.col(p).len()).collect();
     let mut corr: Vec<i64> = vec![0; originals.len()];
     // frontier[p]: gid of the next uncorrected event of timeline p. A
-    // producer gid is corrected iff it is below its timeline's frontier —
-    // the same predicate as the AoS `j >= pc[q]` check, without locate.
+    // producer gid is corrected iff it is below its timeline's frontier.
     let mut frontier: Vec<u32> = (0..n).map(|p| graph.base(p)).collect();
     let mut prev_orig = vec![Time::MIN; n];
     let mut prev_corr = vec![Time::MIN; n];
@@ -119,8 +115,7 @@ pub(crate) fn forward_pass_csr(
                 let orig = Time::from_ps(originals[gid]);
 
                 // Remote constraint: max over in-edge producers, walked in
-                // dependency-dispatch order so the pass blocks on the same
-                // first pending producer as the AoS reference.
+                // dependency-dispatch order.
                 let mut remote: Option<Time> = None;
                 let (srcs, lats) = graph.in_of(gid as u32);
                 for (&src, &lat) in srcs.iter().zip(lats) {
@@ -134,8 +129,7 @@ pub(crate) fn forward_pass_csr(
                 // Amortized local candidate. Saturating arithmetic: tenant
                 // streams may carry timestamps at the `i64` edges, where
                 // plain ops debug-panic; saturation equals the plain result
-                // whenever no overflow occurs, so bit-identity across the
-                // engines is preserved.
+                // whenever no overflow occurs.
                 let candidate = if i == 0 {
                     orig
                 } else {
@@ -171,21 +165,22 @@ pub(crate) fn forward_pass_csr(
 }
 
 /// Backward amortization over columns and CSR out-edges: smooth each jump
-/// over a window of preceding events, clamped against a snapshot — the CSR
-/// twin of the serial `backward_amortization`. With `threaded` the
-/// per-timeline kernels run on scoped threads (timelines are independent
-/// here, so threading cannot change the result).
+/// over a window of preceding events with a linear ramp, clamped so no
+/// outgoing message or collective contribution becomes violated.
+///
+/// Remote constraint times are read from a **snapshot** taken after the
+/// forward pass, so the result is independent of timeline order; since
+/// backward shifts only ever move events *forward*, snapshot-based slacks
+/// are conservative.
 pub(crate) fn backward_amortization_csr(
     cols: &mut TraceColumns,
     graph: &DepGraph,
     params: &ClcParams,
     jumps: &[Jump],
-    threaded: bool,
 ) {
     // Flatten the snapshot by gid: backward clamping reads remote times by
     // out-edge target, which is already a gid.
     let snapshot = flatten_by_gid(cols);
-    let snapshot_ref = &snapshot;
     let mut per_proc: Vec<Vec<Jump>> = vec![Vec::new(); cols.n_procs()];
     for j in jumps {
         per_proc[j.event.p()].push(*j);
@@ -193,28 +188,13 @@ pub(crate) fn backward_amortization_csr(
     for list in per_proc.iter_mut() {
         list.sort_by_key(|j| j.event.i());
     }
-    if threaded {
-        std::thread::scope(|scope| {
-            for (p, col) in cols.iter_mut_slices() {
-                let my_jumps = std::mem::take(&mut per_proc[p]);
-                if my_jumps.is_empty() {
-                    continue;
-                }
-                scope.spawn(move || {
-                    backward_pass_csr(p, col, &my_jumps, graph, params, snapshot_ref);
-                });
-            }
-        });
-    } else {
-        for (p, col) in cols.iter_mut_slices() {
-            backward_pass_csr(p, col, &per_proc[p], graph, params, snapshot_ref);
-        }
+    for (p, col) in cols.iter_mut_slices() {
+        backward_pass_csr(p, col, &per_proc[p], graph, params, &snapshot);
     }
 }
 
 /// The per-timeline backward kernel over a raw picosecond slice and CSR
-/// out-edges — the twin of [`super::backward_pass_proc`], statement for
-/// statement. `snapshot` is the post-forward trace flattened by gid.
+/// out-edges. `snapshot` is the post-forward trace flattened by gid.
 fn backward_pass_csr(
     p: usize,
     col: &mut [i64],
@@ -265,7 +245,7 @@ fn backward_pass_csr(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clc::{controlled_logical_clock, fixtures, ClcParams};
+    use crate::clc::{fixtures, ClcParams};
     use tracefmt::{match_collectives, match_messages, Trace, UniformLatency};
 
     const LMIN: UniformLatency = UniformLatency(Dur::from_ps(4_000_000));
@@ -274,49 +254,6 @@ mod tests {
         let matching = match_messages(t);
         let insts = match_collectives(t).unwrap();
         DepGraph::from_trace(t, &matching, &insts, &LMIN)
-    }
-
-    #[test]
-    fn columnar_csr_serial_matches_aos_serial() {
-        for (procs, rounds) in [(2, 8), (5, 17), (8, 25)] {
-            let base = fixtures::mixed_trace(procs, rounds);
-            let params = ClcParams::default();
-
-            let mut aos = base.clone();
-            let ra = controlled_logical_clock(&mut aos, &LMIN, &params).unwrap();
-
-            let graph = graph_of(&base);
-            let mut cols = TraceColumns::gather(&base);
-            let rc = controlled_logical_clock_columnar_csr(&mut cols, &graph, &params).unwrap();
-
-            assert_eq!(ra.n_jumps(), rc.n_jumps());
-            assert_eq!(ra.max_jump, rc.max_jump);
-            assert_eq!(ra.events_moved, rc.events_moved);
-            for (ja, jc) in ra.jumps.iter().zip(&rc.jumps) {
-                assert_eq!(ja.event, jc.event);
-                assert_eq!(ja.size, jc.size);
-            }
-            for (id, e) in aos.iter_events() {
-                assert_eq!(cols.time(id), e.time, "{procs}x{rounds} event {id:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn forward_only_variants_match() {
-        let base = fixtures::mixed_trace(4, 12);
-        let params = ClcParams { backward: false, ..ClcParams::default() };
-
-        let mut aos = base.clone();
-        controlled_logical_clock(&mut aos, &LMIN, &params).unwrap();
-
-        let graph = graph_of(&base);
-        let mut cols = TraceColumns::gather(&base);
-        controlled_logical_clock_columnar_csr(&mut cols, &graph, &params).unwrap();
-
-        for (id, e) in aos.iter_events() {
-            assert_eq!(cols.time(id), e.time);
-        }
     }
 
     #[test]
@@ -336,52 +273,8 @@ mod tests {
         let mut cols = TraceColumns::gather(&t);
         let err = controlled_logical_clock_columnar_csr(&mut cols, &graph, &ClcParams::default());
         assert!(matches!(err, Err(ClcError::CyclicTrace)));
-    }
-
-    #[test]
-    fn i64_edge_timestamps_do_not_panic_and_engines_agree() {
-        use simclock::Time;
-        use tracefmt::{EventKind, Rank, RegionId, Tag};
-        // Timestamps pinned to the i64 edges: the remote bound, the
-        // amortized-gap arithmetic and the backward-window extrapolation
-        // all overflow plain i64 ops here. Saturating kernels must accept
-        // the trace, and every engine must agree bit for bit.
-        let mut t = Trace::for_ranks(2);
-        t.procs[0].push(Time::from_ps(i64::MIN + 3), EventKind::Enter { region: RegionId(0) });
-        t.procs[0].push(
-            Time::from_ps(i64::MAX - 2),
-            EventKind::Send { to: Rank(1), tag: Tag(0), bytes: 0 },
-        );
-        t.procs[1].push(Time::from_ps(i64::MIN), EventKind::Enter { region: RegionId(0) });
-        t.procs[1].push(
-            Time::from_ps(i64::MIN + 10),
-            EventKind::Recv { from: Rank(0), tag: Tag(0), bytes: 0 },
-        );
-        t.procs[1].push(Time::from_ps(i64::MAX - 1), EventKind::Exit { region: RegionId(0) });
-        let params = ClcParams::default();
-
-        let mut aos = t.clone();
-        let ra = controlled_logical_clock(&mut aos, &LMIN, &params).unwrap();
-
-        let graph = graph_of(&t);
-        let mut cols = TraceColumns::gather(&t);
-        let rc = controlled_logical_clock_columnar_csr(&mut cols, &graph, &params).unwrap();
-
-        let mut rep_cols = TraceColumns::gather(&t);
-        let (rr, _) = crate::clc::replay::controlled_logical_clock_replay_csr(
-            &mut rep_cols,
-            &graph,
-            &params,
-        )
-        .unwrap();
-
-        assert_eq!(ra.n_jumps(), rc.n_jumps());
-        assert_eq!(rc.n_jumps(), rr.n_jumps());
-        assert_eq!(ra.max_jump, rc.max_jump);
-        for (id, e) in aos.iter_events() {
-            assert_eq!(cols.time(id), e.time, "columnar vs aos at {id:?}");
-            assert_eq!(rep_cols.time(id), e.time, "replay vs aos at {id:?}");
-        }
+        // The columns are left untouched on error.
+        assert_eq!(cols.flat(), TraceColumns::gather(&t).flat());
     }
 
     #[test]

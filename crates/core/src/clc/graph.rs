@@ -1,9 +1,8 @@
 //! The compressed-sparse-row (CSR) event-dependency graph.
 //!
-//! [`super::Deps`] answers "what constrains this event?" through five hash
-//! maps — fine for the reference implementation, but every lookup in the
-//! CLC's hot loops is a hash + probe over scattered heap nodes. This
-//! module lowers the same structure ([`Matching`] message edges plus the
+//! A map-based dependency structure answers "what constrains this event?"
+//! with a hash + probe over scattered heap nodes per lookup. This module
+//! lowers the same structure ([`Matching`] message edges plus the
 //! collective → point-to-point mapped edges of the paper's [30] extension)
 //! into flat arrays indexed by a *global event id* (`gid`): event `(p, i)`
 //! is `base[p] + i`, timelines concatenated in proc order — exactly the
@@ -16,20 +15,16 @@
 //!   `v` from below (the matched send of a receive; the relevant begins of
 //!   a collective end);
 //! * `out_offsets`/`out_edges` — CSR of *consumers*: the transpose, used
-//!   by backward amortization to clamp shifts and by the replay engine to
-//!   publish corrected times;
+//!   by backward amortization to clamp shifts;
 //! * `in_lat_ps`/`out_lat_ps` — the minimum latency of each edge in
 //!   picoseconds, baked in at build time from the frozen latency model, so
 //!   the hot loops never touch a rank pair again. An edge's contribution
-//!   to its consumer is exactly `corrected(producer) + lat`, the same
-//!   `Time + Dur` addition the AoS pass performs.
+//!   to its consumer is exactly `corrected(producer) + lat`.
 //!
-//! Per-consumer in-edge order equals the AoS dispatch order (the single
+//! Per-consumer in-edge order is the dependency-dispatch order (the single
 //! message edge, or [`super::CollInst::deps_of_end`] order), so a forward
-//! pass walking `in_edges` observes dependencies in the same sequence and
-//! blocks on the same first pending producer — the foundation of the
-//! bit-identity guarantee shared by the serial, columnar and replay
-//! engines.
+//! pass walking `in_edges` observes dependencies in the same sequence as
+//! the map-based reference the tests keep as an oracle.
 
 use super::CollInst;
 use simclock::Dur;
@@ -57,15 +52,6 @@ pub struct DepGraph {
     out_edges: Vec<u32>,
     /// Minimum latency of each out-edge, aligned with `out_edges`.
     out_lat_ps: Vec<i64>,
-    /// `cross_counts[q * n_procs + p]`: number of edges from a producer on
-    /// timeline `q` to a consumer on timeline `p ≠ q` — the exact capacity
-    /// of the replay engine's `q → p` ring.
-    cross_counts: Vec<u32>,
-    /// First consumer of a same-timeline edge whose producer does not
-    /// precede it in program order, if any. Such an edge makes the serial
-    /// forward pass report [`super::ClcError::CyclicTrace`]; the replay
-    /// engine checks this up front instead of deadlocking.
-    local_cycle: Option<EventId>,
 }
 
 impl DepGraph {
@@ -101,7 +87,7 @@ impl DepGraph {
         // begins of each end in `deps_of_end` order. A consumer is either
         // a receive (one message edge) or a collective end (only
         // collective edges), so per-consumer insertion order is exactly
-        // the AoS dispatch order.
+        // the dependency-dispatch order.
         let insts: Vec<CollInst> = instances
             .iter()
             .map(|inst| {
@@ -117,23 +103,15 @@ impl DepGraph {
             .collect();
 
         let mut triples: Vec<(EventId, EventId, i64)> = Vec::with_capacity(matching.messages.len());
-        let mut local_cycle = None;
-        let mut note_edge =
-            |triples: &mut Vec<(EventId, EventId, i64)>, src: EventId, dst: EventId, lat: Dur| {
-                if src.p() == dst.p() && src.idx >= dst.idx && local_cycle.is_none() {
-                    local_cycle = Some(dst);
-                }
-                triples.push((src, dst, lat.as_ps()));
-            };
         for m in &matching.messages {
-            note_edge(&mut triples, m.send, m.recv, lmin.l_min(m.from, m.to));
+            triples.push((m.send, m.recv, lmin.l_min(m.from, m.to).as_ps()));
         }
         for inst in &insts {
             for pos in 0..inst.members.len() {
                 let (my_rank, _, end) = inst.members[pos];
                 for j in inst.deps_of_end(pos) {
                     let (jrank, jbegin, _) = inst.members[j];
-                    note_edge(&mut triples, jbegin, end, lmin.l_min(jrank, my_rank));
+                    triples.push((jbegin, end, lmin.l_min(jrank, my_rank).as_ps()));
                 }
             }
         }
@@ -148,13 +126,9 @@ impl DepGraph {
         let total = total as usize;
         let mut in_offsets = vec![0u32; total + 1];
         let mut out_offsets = vec![0u32; total + 1];
-        let mut cross_counts = vec![0u32; n * n];
         for &(src, dst, _) in &triples {
             in_offsets[gid(dst) as usize + 1] += 1;
             out_offsets[gid(src) as usize + 1] += 1;
-            if src.p() != dst.p() {
-                cross_counts[src.p() * n + dst.p()] += 1;
-            }
         }
         for v in 0..total {
             in_offsets[v + 1] += in_offsets[v];
@@ -187,8 +161,6 @@ impl DepGraph {
             out_offsets,
             out_edges,
             out_lat_ps,
-            cross_counts,
-            local_cycle,
         }
     }
 
@@ -256,20 +228,6 @@ impl DepGraph {
         (&self.out_edges[a..b], &self.out_lat_ps[a..b])
     }
 
-    /// Exact number of edges from a producer on timeline `q` to a consumer
-    /// on timeline `p` (zero when `q == p`) — the replay ring capacity.
-    #[inline]
-    pub(crate) fn cross_count(&self, q: usize, p: usize) -> u32 {
-        self.cross_counts[q * self.n_procs() + p]
-    }
-
-    /// First consumer of a same-timeline edge that does not respect
-    /// program order, if any (a malformed trace the serial pass reports as
-    /// [`super::ClcError::CyclicTrace`]).
-    pub fn local_cycle(&self) -> Option<EventId> {
-        self.local_cycle
-    }
-
     /// Events whose corrected times bound `id` from below, with the
     /// minimum latency of each edge, in dependency-dispatch order.
     pub fn in_deps(&self, id: EventId) -> impl Iterator<Item = (EventId, Dur)> + '_ {
@@ -293,7 +251,7 @@ impl DepGraph {
 
 #[cfg(test)]
 mod tests {
-    use super::super::{deps_from_parts, fixtures};
+    use super::super::fixtures;
     use super::*;
     use std::collections::HashSet;
     use tracefmt::{match_collectives, match_messages, EventKind, Rank, Tag, UniformLatency};
@@ -306,31 +264,33 @@ mod tests {
         DepGraph::from_trace(trace, &matching, &insts, &LMIN)
     }
 
-    /// Expected edge set from the reference `Deps` maps: each recv's
-    /// message edge plus each collective end's `deps_of_end` begins.
+    /// Expected edge set straight from the analysis: each matched
+    /// message, plus each collective end's `deps_of_end` begins.
     fn reference_edges(trace: &Trace) -> HashSet<(EventId, EventId, i64)> {
-        let matching = match_messages(trace);
-        let insts = match_collectives(trace).unwrap();
-        let deps = deps_from_parts(&matching, &insts);
-        let ranks: Vec<_> = trace.procs.iter().map(|p| p.location.rank).collect();
-        let mut edges = HashSet::new();
-        for (&recv, &(send, from)) in &deps.send_of {
-            let lat = LMIN.l_min(from, ranks[recv.p()]).as_ps();
-            edges.insert((send, recv, lat));
-        }
-        for (&end, &(inst_idx, pos)) in &deps.end_info {
-            let inst = &deps.insts[inst_idx];
-            for j in inst.deps_of_end(pos) {
-                let (jrank, jbegin, _) = inst.members[j];
-                let lat = LMIN.l_min(jrank, ranks[end.p()]).as_ps();
-                edges.insert((jbegin, end, lat));
+        let lat = LMIN.0.as_ps();
+        let mut edges: HashSet<_> = match_messages(trace)
+            .messages
+            .iter()
+            .map(|m| (m.send, m.recv, lat))
+            .collect();
+        for inst in match_collectives(trace).unwrap() {
+            let root_pos = inst.root.and_then(|r| inst.members.iter().position(|m| m.rank == r));
+            let ci = CollInst {
+                flavor: inst.op.flavor(),
+                root_pos,
+                members: inst.members.iter().map(|m| (m.rank, m.begin, m.end)).collect(),
+            };
+            for (pos, &(_, _, end)) in ci.members.iter().enumerate() {
+                for j in ci.deps_of_end(pos) {
+                    edges.insert((ci.members[j].1, end, lat));
+                }
             }
         }
         edges
     }
 
     #[test]
-    fn csr_edges_match_deps_reference() {
+    fn csr_edges_match_the_analysis() {
         for (procs, rounds) in [(2, 5), (4, 12), (7, 21)] {
             let t = fixtures::mixed_trace(procs, rounds);
             let g = graph_of(&t);
@@ -351,7 +311,6 @@ mod tests {
             }
             assert_eq!(out_edges, want, "{procs}x{rounds} out-edge set");
             assert_eq!(g.n_edges(), want.len());
-            assert!(g.local_cycle().is_none());
         }
     }
 
@@ -365,44 +324,6 @@ mod tests {
             let gid = g.base(id.p()) + id.idx;
             assert_eq!(g.locate(gid), (id.p(), id.i()));
         }
-    }
-
-    #[test]
-    fn cross_counts_are_exact_ring_capacities() {
-        let t = fixtures::mixed_trace(4, 10);
-        let g = graph_of(&t);
-        let n = g.n_procs();
-        let mut want = vec![0u32; n * n];
-        for (id, _) in t.iter_events() {
-            for (src, _) in g.in_deps(id) {
-                if src.p() != id.p() {
-                    want[src.p() * n + id.p()] += 1;
-                }
-            }
-        }
-        for q in 0..n {
-            for p in 0..n {
-                assert_eq!(g.cross_count(q, p), want[q * n + p], "ring {q}->{p}");
-            }
-            assert_eq!(g.cross_count(q, q), 0);
-        }
-    }
-
-    #[test]
-    fn self_message_cycle_is_flagged() {
-        // A timeline that receives its own later send: the recv (idx 0)
-        // depends on the send (idx 1) — impossible program order.
-        let mut t = Trace::for_ranks(1);
-        t.procs[0].push(
-            simclock::Time::from_us(5),
-            EventKind::Recv { from: Rank(0), tag: Tag(0), bytes: 0 },
-        );
-        t.procs[0].push(
-            simclock::Time::from_us(10),
-            EventKind::Send { to: Rank(0), tag: Tag(0), bytes: 0 },
-        );
-        let g = graph_of(&t);
-        assert_eq!(g.local_cycle(), Some(EventId::new(0, 0)));
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //! * [`condition`] — clock-condition slack diagnostics (Eq. 1);
 //! * [`lamport`] / [`vector`] — the classic logical clocks (§V);
 //! * [`clc`] — the Controlled Logical Clock with forward and backward
-//!   amortization, the collective → point-to-point mapping extension, and a
-//!   replay-based parallel implementation;
+//!   amortization and the collective → point-to-point mapping extension,
+//!   over a CSR dependency graph and columnar timestamps;
 //! * [`baselines`] — Duda regression & convex hull, Hofmann min/max,
 //!   Jézéquel spanning trees, Babaoğlu/Drummond full-exchange bounds;
 //! * [`pipeline`] — the recommended chain: linear interpolation for weak
@@ -36,7 +36,6 @@ pub mod vector;
 pub use baselines::{AffineMap, Corridor};
 pub use clc::domains::{controlled_logical_clock_with_domains, domain_misalignment};
 pub use clc::graph::DepGraph;
-pub use clc::parallel::controlled_logical_clock_parallel;
 pub use clc::pomp::{
     controlled_logical_clock_generic, controlled_logical_clock_pomp, pomp_constraints,
     Constraint,
@@ -54,8 +53,8 @@ pub use pipeline::{
     synchronize_stream_incremental_with_cancel, synchronize_stream_incremental_with_sink,
     synchronize_stream_with_cancel,
     synchronize_with_cancel, CancelProbe, CancelToken, IncrementalReport, OnlineSpec,
-    ParallelConfig, PipelineConfig, PipelineError, PipelineReport, PipelineStats,
-    PreSync, StageReport, StageStats, StageTotals, SyncMethod, TimestampStorage, TraceAnalysis,
+    PipelineConfig, PipelineError, PipelineReport, PipelineStats, PreSync, StageReport,
+    StageStats, StageTotals, SyncMethod, TraceAnalysis,
 };
 pub use predict::{normal_cdf, safe_run_length, violation_probability, WanderModel};
 pub use vector::{vector_timestamps, VectorStamp};

@@ -8,37 +8,40 @@
 //!
 //! # Execution model
 //!
-//! The pipeline runs sequentially by default. Setting
-//! [`PipelineConfig::parallel`] shards the per-rank work — timestamp
-//! mapping and the violation censuses — across a scoped worker pool and
-//! replaces the serial CLC with the replay-based parallel CLC
-//! ([`crate::controlled_logical_clock_parallel`]). Both paths produce
-//! **bit-identical** corrected timestamps and reports: the shard merge
-//! preserves sequential order, and the parallel CLC re-enacts the serial
-//! forward pass exactly.
+//! One sequential, straight-line path per job: ingest or gather → match →
+//! lower → plan → census → presync or online → census → CLC → census →
+//! scatter. A service runs many jobs at once on its executors, so a job
+//! gets no threads of its own.
+//!
+//! The stages between the censuses only ever read and write *timestamps*,
+//! so they run on dense per-timeline `i64` picosecond columns
+//! ([`TraceColumns`]) rather than on the event records: the trace is
+//! gathered into columns once (streaming ingest produces them directly),
+//! presync, the online filter and the CLC rewrite the columns in place,
+//! and the corrected times are scattered back into the records at the
+//! end.
 //!
 //! Cross-stage work is computed once and cached: message matching and
 //! collective reconstruction are order-based (timestamps never enter
 //! them), so one [`TraceAnalysis`] serves every census; the `l_min` model
 //! is frozen into a dense [`LatencyTable`] up front so later stages never
-//! re-query a potentially expensive model.
+//! re-query a potentially expensive model; the censuses share one
+//! [`CensusPlan`] and run its chunked branchless kernels.
 //!
-//! Every run also returns [`PipelineStats`]: per-stage item counts and
-//! throughput, shard counts, and the time the merge side spent waiting on
-//! shard results.
+//! Every run also returns [`PipelineStats`]: per-stage item counts, times
+//! and throughput.
 
-mod columnar;
-mod parallel;
 mod stats;
 mod windowed;
 
-pub use parallel::ParallelConfig;
 pub use stats::{PipelineStats, StageStats, StageTotals};
 pub use windowed::{
     synchronize_stream_incremental, synchronize_stream_incremental_with_cancel,
     synchronize_stream_incremental_with_sink, IncrementalReport,
 };
 
+use crate::clc::columnar::controlled_logical_clock_columnar_csr;
+use crate::clc::graph::DepGraph;
 use crate::clc::{ClcError, ClcParams, ClcReport};
 use crate::interp::{LinearInterpolation, OffsetAlignment, TimestampMap};
 use crate::offset::OffsetMeasurement;
@@ -47,12 +50,12 @@ use simclock::Time;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 use tracefmt::io::{CodecError, StreamDecoder, TraceBuilder};
 use tracefmt::{
-    assemble_collective_instances, check_collectives_at, check_p2p_messages_at, CensusPlan,
-    CollCall, CollReport, CollectiveInstance, CollectiveScanner, CommId, EventKind, LatencyTable,
-    Matching, MessageMatcher, MinLatency, P2pReport, Rank, TimeSource, Trace, TraceColumns,
+    assemble_collective_instances, CensusPlan, CollCall, CollReport, CollectiveInstance,
+    CollectiveScanner, CommId, EventKind, LatencyTable, Matching, MessageMatcher, MinLatency,
+    P2pReport, Rank, Trace, TraceColumns,
 };
 
 /// Which pre-synchronisation to apply.
@@ -65,24 +68,6 @@ pub enum PreSync {
     /// Eq. 3 linear interpolation between the init and finalize
     /// measurements (Scalasca's scheme).
     Linear,
-}
-
-/// Which timestamp layout the pipeline's hot stages run on.
-///
-/// Both layouts are guaranteed **bit-identical** in output — corrected
-/// timestamps and every violation census. The columnar engine exists
-/// purely for throughput: the timestamp-touching stages (presync mapping,
-/// CLC amortization, censuses) walk dense `i64` picosecond columns at an
-/// 8-byte stride instead of striding over full event records.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TimestampStorage {
-    /// Operate on the event records in place (array-of-structs).
-    Aos,
-    /// Gather timestamps into per-timeline [`TraceColumns`], run every
-    /// timestamp stage over dense `&mut [i64]` columns, and scatter the
-    /// corrected times back into the records at the end.
-    #[default]
-    Columnar,
 }
 
 /// Which synchronization *method* rewrites the timestamps — the paper's
@@ -155,12 +140,6 @@ pub struct PipelineConfig {
     pub presync: PreSync,
     /// CLC stage (None = skip).
     pub clc: Option<ClcParams>,
-    /// Parallel execution (None = sequential, the default). The parallel
-    /// path is guaranteed bit-identical to the sequential one.
-    pub parallel: Option<ParallelConfig>,
-    /// Timestamp storage layout for the hot stages (columnar by default;
-    /// bit-identical either way).
-    pub storage: TimestampStorage,
     /// Synchronization method (postmortem presync + CLC by default).
     pub method: SyncMethod,
 }
@@ -170,8 +149,6 @@ impl Default for PipelineConfig {
         PipelineConfig {
             presync: PreSync::Linear,
             clc: Some(ClcParams::default()),
-            parallel: None,
-            storage: TimestampStorage::default(),
             method: SyncMethod::default(),
         }
     }
@@ -263,9 +240,9 @@ fn assemble_instances(
     Ok(instances)
 }
 
-/// Concrete per-process pre-synchronisation map. An enum rather than a
-/// boxed trait object so a slice of maps is `Sync` and can be shared by
-/// the worker pool without locking.
+/// Concrete per-process pre-synchronisation map: an enum rather than a
+/// boxed trait object, so the per-column kernel is picked once per
+/// timeline.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum PresyncMap {
     Identity,
@@ -310,19 +287,6 @@ pub struct StageReport {
 }
 
 impl StageReport {
-    /// Census a timestamp source (either layout) against a cached analysis
-    /// and latency table.
-    fn capture_at<S: TimeSource + ?Sized>(
-        times: &S,
-        analysis: &TraceAnalysis,
-        lmin: &dyn MinLatency,
-    ) -> Self {
-        StageReport {
-            p2p: check_p2p_messages_at(times, &analysis.matching.messages, lmin),
-            coll: check_collectives_at(times, &analysis.instances, lmin),
-        }
-    }
-
     /// Total violated constraints (messages + logical messages).
     pub fn total_violations(&self) -> usize {
         self.p2p.violations.len() + self.coll.logical_violated
@@ -341,7 +305,7 @@ pub struct PipelineReport {
     pub after_clc: Option<StageReport>,
     /// CLC statistics (None when skipped).
     pub clc: Option<ClcReport>,
-    /// Per-stage throughput and shard instrumentation.
+    /// Per-stage instrumentation.
     pub stats: PipelineStats,
 }
 
@@ -500,80 +464,25 @@ fn build_presync_maps(
     }
 }
 
-/// Census one stage, sequentially or sharded, and record its stats.
-/// Generic over the timestamp layout: `times` is the trace itself on the
-/// AoS path and the gathered [`TraceColumns`] on the columnar path.
-fn census_stage<S: TimeSource + Sync>(
-    name: &'static str,
-    times: &S,
-    analysis: &TraceAnalysis,
-    table: &LatencyTable,
-    par: Option<&ParallelConfig>,
-    stats: &mut PipelineStats,
-) -> StageReport {
-    let t0 = Instant::now();
-    match par {
-        None => {
-            let rep = StageReport::capture_at(times, analysis, table);
-            stats
-                .stages
-                .push(StageStats::sequential(name, analysis.n_items(), t0.elapsed()));
-            rep
-        }
-        Some(par) => {
-            let (rep, items, shards, wait) = parallel::census_sharded(times, analysis, table, par);
-            stats
-                .stages
-                .push(StageStats::sharded(name, items, t0.elapsed(), shards, wait));
-            rep
-        }
-    }
-}
-
-/// [`census_stage`] over a frozen [`CensusPlan`]: borrow the columns' slab
-/// as the plan's gather array (zero copies), then run the chunked
-/// branchless census kernels (sequentially or range-sharded). The reports
-/// are bit-identical to the reference `capture_at` path, which the AoS
-/// engine keeps using — the differential tests compare the two end to end.
-fn census_stage_planned(
+/// Census one stage over a frozen [`CensusPlan`]: borrow the columns' slab
+/// as the plan's gather array (zero copies), run the chunked branchless
+/// census kernels, and record the stage's stats.
+fn census_stage(
     name: &'static str,
     plan: &CensusPlan,
     cols: &TraceColumns,
-    par: Option<&ParallelConfig>,
     stats: &mut PipelineStats,
 ) -> StageReport {
     let t0 = Instant::now();
     let flat = plan.flat_of(cols);
+    let rep = StageReport {
+        p2p: plan.p2p_census(flat),
+        coll: plan.collective_census(flat),
+    };
     let n_items = plan.n_messages() + plan.n_instances();
-    match par {
-        None => {
-            let rep = StageReport {
-                p2p: plan.p2p_census(flat),
-                coll: plan.collective_census(flat),
-            };
-            stats
-                .stages
-                .push(StageStats::sequential(name, n_items, t0.elapsed()));
-            rep
-        }
-        Some(par) => {
-            let (rep, items, shards, wait) = parallel::census_sharded_planned(plan, flat, par);
-            stats
-                .stages
-                .push(StageStats::sharded(name, items, t0.elapsed(), shards, wait));
-            rep
-        }
-    }
+    stats.stages.push(StageStats::new(name, n_items, t0.elapsed()));
+    rep
 }
-
-/// The stage outputs shared by both storage engines: raw census, presync
-/// census, and the optional CLC census + report.
-type StageOutcomes = (
-    StageReport,
-    StageReport,
-    Option<StageReport>,
-    Option<ClcReport>,
-);
 
 /// Run the pipeline on `trace` in place.
 ///
@@ -593,7 +502,7 @@ pub fn synchronize(
 
 /// [`synchronize`] with a cooperative [`CancelToken`], polled between
 /// stages. Long-running services use this to enforce per-job deadlines and
-/// user cancellation without tearing down the worker pool.
+/// user cancellation without tearing down their executors.
 pub fn synchronize_with_cancel(
     trace: &mut Trace,
     init: &[Option<OffsetMeasurement>],
@@ -612,10 +521,10 @@ pub fn synchronize_with_cancel(
 /// Unlike decode-then-[`synchronize`], the input never has to be resident
 /// as one contiguous buffer: each chunk (any size — a read buffer, a
 /// network packet) is fed to the incremental [`StreamDecoder`], and the
-/// timestamp columns it produces feed the columnar engine directly, so the
-/// gather pass over the materialized records is skipped as well. The
+/// timestamp columns it produces feed the timestamp stages directly, so
+/// the gather pass over the materialized records is skipped as well. The
 /// decode cost is recorded as an `"ingest"` stage in
-/// [`PipelineStats`] (items = events decoded, shards = blocks decoded).
+/// [`PipelineStats`] (items = events decoded, blocks = blocks decoded).
 ///
 /// Returns the decoded, synchronized trace alongside the report.
 pub fn synchronize_stream<'a>(
@@ -650,15 +559,19 @@ pub fn synchronize_stream_with_cancel<'a>(
     let blocks = decoder.blocks_decoded() as usize;
     decoder.finish().map_err(PipelineError::Codec)?;
     let (mut trace, cols) = builder.finish_parts();
-    let ingest = StageStats::sharded("ingest", cols.n_events(), t0.elapsed(), blocks, Duration::ZERO);
+    let ingest = StageStats::with_blocks("ingest", cols.n_events(), t0.elapsed(), blocks);
     let report = synchronize_impl(&mut trace, Some((cols, ingest)), init, fin, lmin, cfg, cancel)?;
     Ok((trace, report))
 }
 
 /// Shared driver behind [`synchronize`] and [`synchronize_stream`]:
 /// validate, freeze the latency table, reconstruct the communication
-/// structure, then hand the timestamp-touching stages to the configured
-/// storage engine.
+/// structure, then run the timestamp stages on columns.
+///
+/// `ingested` carries columns produced by streaming ingest (already
+/// recorded as an `"ingest"` stage); when absent, a `"gather"` stage
+/// builds them from the trace. The trace's records are only touched again
+/// by the final `"scatter"` stage.
 #[allow(clippy::too_many_arguments)]
 fn synchronize_impl(
     trace: &mut Trace,
@@ -688,11 +601,7 @@ fn synchronize_impl(
             )));
         }
     }
-    let par = cfg.parallel.as_ref();
-    let mut stats = PipelineStats {
-        workers: par.map_or(1, ParallelConfig::effective_workers),
-        ..PipelineStats::default()
-    };
+    let mut stats = PipelineStats::default();
     let pre_cols = match ingested {
         Some((cols, ingest_stats)) => {
             stats.stages.push(ingest_stats);
@@ -720,37 +629,21 @@ fn synchronize_impl(
 
     // Reconstruct the communication structure once; every census reuses it
     // (matching is order-based, so timestamp rewrites cannot invalidate
-    // it). One sequential sort-based pass, whatever the worker pool.
+    // it).
     cancel.check()?;
     let t0 = Instant::now();
     let analysis = TraceAnalysis::capture(trace).map_err(PipelineError::BadTrace)?;
-    stats
-        .stages
-        .push(StageStats::sequential("match", n_events, t0.elapsed()));
+    stats.stages.push(StageStats::new("match", n_events, t0.elapsed()));
 
-    // Lower the analysis into the CSR dependency graph whenever a CLC
-    // engine that consumes it will run (the columnar kernels and the
-    // batched replay; the sequential AoS path keeps the map-based
-    // reference implementation). The method gates this: Interp and
-    // Online never run a CLC, whatever `cfg.clc` says.
-    let replay = par.is_some_and(|p| p.effective_workers() >= 2);
-    let graph = if cfg.effective_clc().is_some()
-        && (cfg.storage == TimestampStorage::Columnar || replay)
-    {
+    // Lower the analysis into the CSR dependency graph whenever the CLC
+    // will run. The method gates this: Interp and Online never run a CLC,
+    // whatever `cfg.clc` says.
+    let clc_stage = cfg.effective_clc().map(|params| {
         let t0 = Instant::now();
-        let g = crate::clc::graph::DepGraph::from_trace(
-            trace,
-            &analysis.matching,
-            &analysis.instances,
-            &table,
-        );
-        stats
-            .stages
-            .push(StageStats::sequential("lower", n_events, t0.elapsed()));
-        Some(g)
-    } else {
-        None
-    };
+        let graph = DepGraph::from_trace(trace, &analysis.matching, &analysis.instances, &table);
+        stats.stages.push(StageStats::new("lower", n_events, t0.elapsed()));
+        (params, graph)
+    });
 
     // The online method replaces presync wholesale; don't demand
     // finalize measurements it will never read.
@@ -761,14 +654,81 @@ fn synchronize_impl(
     };
     cancel.check()?;
 
-    let (raw, after_presync, after_clc, clc) = match cfg.storage {
-        TimestampStorage::Aos => run_aos(
-            trace, maps, &analysis, graph.as_ref(), &table, cfg, cancel, &mut stats,
-        )?,
-        TimestampStorage::Columnar => columnar::run(
-            trace, pre_cols, maps, &analysis, graph.as_ref(), &table, cfg, cancel, &mut stats,
-        )?,
+    let mut cols = match pre_cols {
+        Some(cols) => cols,
+        None => {
+            let t0 = Instant::now();
+            let cols = TraceColumns::gather(trace);
+            stats.stages.push(StageStats::new("gather", n_events, t0.elapsed()));
+            cols
+        }
     };
+    // Batch residency: every timeline's full i64 lane is live at once.
+    stats.peak_resident_column_bytes = 8 * n_events as u64;
+
+    // Freeze the timestamp-independent census state once: event ids
+    // resolved to flat-array offsets, bounds baked into dense lanes,
+    // collectives expanded into logical messages. All three censuses then
+    // run the same kernels over the columns.
+    let t0 = Instant::now();
+    let plan = CensusPlan::for_columns(
+        &cols,
+        &analysis.matching.messages,
+        &analysis.instances,
+        &table,
+    )
+    .map_err(|e| PipelineError::BadTrace(e.to_string()))?;
+    stats.stages.push(StageStats::new("plan", analysis.n_items(), t0.elapsed()));
+
+    let raw = census_stage("census:raw", &plan, &cols, &mut stats);
+
+    let (after_presync, after_clc, clc) = if let Some(spec) = cfg.online() {
+        // Online correction replaces presync and the CLC: one stateful
+        // filter lane per timeline, walked in event order.
+        cancel.check()?;
+        let t0 = Instant::now();
+        let mut corr = spec.corrector();
+        for (p, col) in cols.iter_mut_slices() {
+            let lane = corr.lane_mut(p);
+            for t in col.iter_mut() {
+                *t = lane.map_next(*t);
+            }
+        }
+        stats.stages.push(StageStats::new("online", n_events, t0.elapsed()));
+        let after_online = census_stage("census:online", &plan, &cols, &mut stats);
+        (after_online, None, None)
+    } else {
+        let after_presync = match maps {
+            None => raw.clone(),
+            Some(maps) => {
+                cancel.check()?;
+                let t0 = Instant::now();
+                for (p, col) in cols.iter_mut_slices() {
+                    maps[p].map_col(col);
+                }
+                stats.stages.push(StageStats::new("presync", n_events, t0.elapsed()));
+                census_stage("census:presync", &plan, &cols, &mut stats)
+            }
+        };
+        // CLC cleanup (gated on the method: Interp stops after presync).
+        match &clc_stage {
+            None => (after_presync, None, None),
+            Some((params, graph)) => {
+                cancel.check()?;
+                let t0 = Instant::now();
+                let rep = controlled_logical_clock_columnar_csr(&mut cols, graph, params)
+                    .map_err(PipelineError::Clc)?;
+                stats.stages.push(StageStats::new("clc", n_events, t0.elapsed()));
+                let census = census_stage("census:clc", &plan, &cols, &mut stats);
+                (after_presync, Some(census), Some(rep))
+            }
+        }
+    };
+
+    // Write the corrected timestamps back into the event records.
+    let t0 = Instant::now();
+    cols.scatter_into(trace);
+    stats.stages.push(StageStats::new("scatter", n_events, t0.elapsed()));
 
     stats.total_seconds = t_total.elapsed().as_secs_f64();
     Ok(PipelineReport {
@@ -780,117 +740,11 @@ fn synchronize_impl(
     })
 }
 
-/// The array-of-structs engine: every timestamp-touching stage operates on
-/// the event records in place. `graph` is the pre-lowered CSR dependency
-/// graph, present whenever the replay CLC will need it.
-#[allow(clippy::too_many_arguments)]
-fn run_aos(
-    trace: &mut Trace,
-    maps: Option<Vec<PresyncMap>>,
-    analysis: &TraceAnalysis,
-    graph: Option<&crate::clc::graph::DepGraph>,
-    table: &LatencyTable,
-    cfg: &PipelineConfig,
-    cancel: &CancelToken,
-    stats: &mut PipelineStats,
-) -> Result<StageOutcomes, PipelineError> {
-    let par = cfg.parallel.as_ref();
-    let n_events = trace.n_events();
-    let n = trace.n_procs();
-
-    let raw = census_stage("census:raw", &*trace, analysis, table, par, stats);
-
-    // Online correction replaces presync: one stateful lane per timeline,
-    // probes interleaved by worker time. The lanes are inherently
-    // sequential *within* a timeline (filter state), and `map_times`
-    // visits timelines one after another in event order, so this stage
-    // always runs on one thread; the censuses still shard.
-    if let Some(spec) = cfg.online() {
-        cancel.check()?;
-        let t0 = Instant::now();
-        let mut corr = spec.corrector();
-        trace.map_times(|p, t| Time::from_ps(corr.map_next(p, t.as_ps())));
-        stats
-            .stages
-            .push(StageStats::sequential("online", n_events, t0.elapsed()));
-        let after_online = census_stage("census:online", &*trace, analysis, table, par, stats);
-        return Ok((raw, after_online, None, None));
-    }
-
-    // Pre-synchronisation.
-    let after_presync = match maps {
-        None => raw.clone(),
-        Some(maps) => {
-            cancel.check()?;
-            let t0 = Instant::now();
-            match par {
-                None => {
-                    trace.map_times(|p, t| maps[p].map(t));
-                    stats
-                        .stages
-                        .push(StageStats::sequential("presync", n_events, t0.elapsed()));
-                }
-                Some(par) => {
-                    let (items, shards, wait) = parallel::apply_maps_sharded(trace, &maps, par);
-                    stats
-                        .stages
-                        .push(StageStats::sharded("presync", items, t0.elapsed(), shards, wait));
-                }
-            }
-            census_stage("census:presync", &*trace, analysis, table, par, stats)
-        }
-    };
-
-    // CLC cleanup (gated on the method: Interp stops after presync).
-    let (after_clc, clc) = match cfg.effective_clc() {
-        None => (None, None),
-        Some(params) => {
-            cancel.check()?;
-            let t0 = Instant::now();
-            // The replay-based parallel CLC runs one worker per process
-            // timeline over the pre-lowered CSR graph and is bit-identical
-            // to the serial one. With a single-worker pool the replay
-            // threads would only time-slice one core, so the serial
-            // map-based CLC (the reference implementation) runs instead —
-            // same output. The replay wait is the workers' summed stall
-            // time on remote dependencies.
-            let replay = par.is_some_and(|p| p.effective_workers() >= 2);
-            let (rep, wait) = if replay {
-                let graph = graph.expect("graph lowered whenever replay runs");
-                crate::clc::parallel::controlled_logical_clock_parallel_with_graph(
-                    trace, graph, params,
-                )
-                .map_err(PipelineError::Clc)?
-            } else {
-                // Feed the cached analysis into the CLC instead of letting
-                // it re-match the trace (matching is order-based, so the
-                // presync timestamp rewrite cannot have invalidated it).
-                let deps = crate::clc::deps_from_parts(&analysis.matching, &analysis.instances);
-                let rep = crate::clc::controlled_logical_clock_with_deps(
-                    trace, &deps, table, params,
-                )
-                .map_err(PipelineError::Clc)?;
-                (rep, Duration::ZERO)
-            };
-            stats.stages.push(StageStats::sharded(
-                "clc",
-                n_events,
-                t0.elapsed(),
-                if replay { n } else { 1 },
-                wait,
-            ));
-            let census = census_stage("census:clc", &*trace, analysis, table, par, stats);
-            (Some(census), Some(rep))
-        }
-    };
-
-    Ok((raw, after_presync, after_clc, clc))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use simclock::{Dur, Time};
+    use std::time::Duration;
     use tracefmt::{EventKind, Rank, Tag, UniformLatency};
 
     const LMIN: UniformLatency = UniformLatency(Dur::from_ps(4_000_000));
@@ -983,7 +837,6 @@ mod tests {
         let cfg = PipelineConfig {
             presync: PreSync::AlignOnly,
             clc: None,
-            parallel: None,
             ..Default::default()
         };
         let rep = synchronize(&mut t, &init, None, &LMIN, &cfg).unwrap();
@@ -1006,79 +859,41 @@ mod tests {
         assert!(matches!(err, Err(PipelineError::BadMeasurements(_))));
     }
 
-    /// The core differential guarantee, on the canonical small fixture:
-    /// the parallel path must be bit-identical to the sequential one.
-    #[test]
-    fn parallel_path_is_bit_identical() {
-        for workers in [1, 2, 4] {
-            let init = vec![None, measurements(-530, 0)];
-            let fin = vec![None, measurements(-530, 10_000)];
-
-            let mut seq_trace = skewed_trace();
-            let seq = synchronize(
-                &mut seq_trace,
-                &init,
-                Some(&fin),
-                &LMIN,
-                &PipelineConfig::default(),
-            )
-            .unwrap();
-
-            let mut par_trace = skewed_trace();
-            let cfg = PipelineConfig {
-                parallel: Some(ParallelConfig { workers, shard_size: 3 }),
-                ..PipelineConfig::default()
-            };
-            let par = synchronize(&mut par_trace, &init, Some(&fin), &LMIN, &cfg).unwrap();
-
-            for (p, (a, b)) in seq_trace.procs.iter().zip(&par_trace.procs).enumerate() {
-                for (i, (ea, eb)) in a.events.iter().zip(&b.events).enumerate() {
-                    assert_eq!(ea.time, eb.time, "proc {p} event {i} with {workers} workers");
-                }
-            }
-            assert_eq!(seq.raw.p2p.reversed, par.raw.p2p.reversed);
-            assert_eq!(
-                seq.after_presync.total_violations(),
-                par.after_presync.total_violations()
-            );
-            assert_eq!(
-                seq.after_clc.unwrap().total_violations(),
-                par.after_clc.unwrap().total_violations()
-            );
-            assert_eq!(par.stats.workers, workers.max(1));
-        }
-    }
-
     #[test]
     fn stats_account_for_all_events() {
         let mut t = skewed_trace();
         let n_events = t.n_events();
         let init = vec![None, measurements(-500, 0)];
         let fin = vec![None, measurements(-500, 10_000)];
-        let cfg = PipelineConfig {
-            parallel: Some(ParallelConfig { workers: 2, shard_size: 4 }),
-            ..PipelineConfig::default()
-        };
-        let rep = synchronize(&mut t, &init, Some(&fin), &LMIN, &cfg).unwrap();
-        let presync = rep.stats.stage("presync").unwrap();
-        // Shard accounting: per-shard counts must sum to the event total.
-        assert_eq!(presync.items, n_events);
-        // 40 events over 2 procs in shards of 4 → 10 shards.
-        assert_eq!(presync.shards, 10);
-        // The match stage scans every event in one sequential pass,
-        // whatever the worker pool.
-        let m = rep.stats.stage("match").unwrap();
-        assert_eq!(m.items, n_events);
-        assert_eq!(m.shards, 1);
-        // CSR lowering runs whenever the CLC does on this path.
-        assert_eq!(rep.stats.stage("lower").unwrap().items, n_events);
-        // Replay CLC: one worker per timeline, every event replayed once.
-        let clc = rep.stats.stage("clc").unwrap();
-        assert_eq!(clc.items, n_events);
-        assert_eq!(clc.shards, t.n_procs());
-        assert!(rep.stats.stage("census:raw").is_some());
-        assert!(rep.stats.stage("census:presync").is_some());
-        assert!(rep.stats.stage("census:clc").is_some());
+        let rep =
+            synchronize(&mut t, &init, Some(&fin), &LMIN, &PipelineConfig::default()).unwrap();
+        // The straight-line path, in execution order.
+        let names: Vec<&str> = rep.stats.stages.iter().map(|s| s.name).collect();
+        assert_eq!(
+            names,
+            [
+                "match",
+                "lower",
+                "gather",
+                "plan",
+                "census:raw",
+                "presync",
+                "census:presync",
+                "clc",
+                "census:clc",
+                "scatter"
+            ]
+        );
+        // Every event-mapping stage sees every event exactly once, in one
+        // pass.
+        for name in ["match", "lower", "gather", "presync", "clc", "scatter"] {
+            let s = rep.stats.stage(name).unwrap();
+            assert_eq!(s.items, n_events, "{name}");
+            assert_eq!(s.blocks, 1, "{name}");
+        }
+        // 20 messages, no collectives.
+        assert_eq!(rep.stats.stage("census:raw").unwrap().items, 20);
+        assert_eq!(rep.stats.peak_resident_column_bytes, 8 * n_events as u64);
     }
 
     #[test]
@@ -1103,25 +918,19 @@ mod tests {
     }
 
     #[test]
-    fn expired_deadline_cancels_both_storage_engines() {
-        for storage in [TimestampStorage::Aos, TimestampStorage::Columnar] {
-            let mut t = skewed_trace();
-            let init = vec![None, measurements(-500, 0)];
-            let fin = vec![None, measurements(-500, 10_000)];
-            let cfg = PipelineConfig { storage, ..PipelineConfig::default() };
-            let err = synchronize_with_cancel(
-                &mut t,
-                &init,
-                Some(&fin),
-                &LMIN,
-                &cfg,
-                &CancelToken::none().with_deadline(Instant::now() - Duration::from_millis(1)),
-            );
-            assert!(
-                matches!(err, Err(PipelineError::Cancelled)),
-                "{storage:?}: expected Cancelled, got {err:?}"
-            );
-        }
+    fn expired_deadline_cancels_the_run() {
+        let mut t = skewed_trace();
+        let init = vec![None, measurements(-500, 0)];
+        let fin = vec![None, measurements(-500, 10_000)];
+        let err = synchronize_with_cancel(
+            &mut t,
+            &init,
+            Some(&fin),
+            &LMIN,
+            &PipelineConfig::default(),
+            &CancelToken::none().with_deadline(Instant::now() - Duration::from_millis(1)),
+        );
+        assert!(matches!(err, Err(PipelineError::Cancelled)), "got {err:?}");
     }
 
     #[test]
@@ -1176,61 +985,22 @@ mod tests {
 
     #[test]
     fn online_method_corrects_through_the_filter() {
-        for storage in [TimestampStorage::Aos, TimestampStorage::Columnar] {
-            let mut t = skewed_trace();
-            let cfg = PipelineConfig {
-                method: SyncMethod::Online(OnlineSpec::new(worker_probes())),
-                storage,
-                ..PipelineConfig::default()
-            };
-            // No init/fin interpolation data at all: the online method
-            // must not demand finalize measurements.
-            let rep = synchronize(&mut t, &[None, None], None, &LMIN, &cfg).unwrap();
-            assert_eq!(rep.raw.p2p.reversed, 10, "{storage:?}");
-            assert_eq!(
-                rep.after_presync.total_violations(),
-                0,
-                "{storage:?}: online census"
-            );
-            assert!(rep.after_clc.is_none() && rep.clc.is_none());
-            assert!(rep.stats.stage("online").is_some());
-            assert!(rep.stats.stage("census:online").is_some());
-            assert!(rep.stats.stage("presync").is_none());
-            assert!(rep.stats.stage("clc").is_none());
-        }
-    }
-
-    #[test]
-    fn online_method_is_bit_identical_across_storages_and_workers() {
-        let run = |storage, workers: Option<usize>| {
-            let mut t = skewed_trace();
-            let cfg = PipelineConfig {
-                method: SyncMethod::Online(OnlineSpec::new(worker_probes())),
-                storage,
-                parallel: workers.map(|w| ParallelConfig { workers: w, shard_size: 3 }),
-                ..PipelineConfig::default()
-            };
-            let rep = synchronize(&mut t, &[None, None], None, &LMIN, &cfg).unwrap();
-            (t, rep)
+        let mut t = skewed_trace();
+        let cfg = PipelineConfig {
+            method: SyncMethod::Online(OnlineSpec::new(worker_probes())),
+            ..PipelineConfig::default()
         };
-        let (ref_trace, ref_rep) = run(TimestampStorage::Aos, None);
-        for storage in [TimestampStorage::Aos, TimestampStorage::Columnar] {
-            for workers in [None, Some(2)] {
-                let (t, rep) = run(storage, workers);
-                for (p, (a, b)) in ref_trace.procs.iter().zip(&t.procs).enumerate() {
-                    for (i, (ea, eb)) in a.events.iter().zip(&b.events).enumerate() {
-                        assert_eq!(
-                            ea.time, eb.time,
-                            "proc {p} event {i}: {storage:?} workers={workers:?}"
-                        );
-                    }
-                }
-                assert_eq!(
-                    ref_rep.after_presync.total_violations(),
-                    rep.after_presync.total_violations()
-                );
-            }
-        }
+        // No init/fin interpolation data at all: the online method must
+        // not demand finalize measurements.
+        let rep = synchronize(&mut t, &[None, None], None, &LMIN, &cfg).unwrap();
+        assert_eq!(rep.raw.p2p.reversed, 10);
+        assert_eq!(rep.after_presync.total_violations(), 0, "online census");
+        assert!(rep.after_clc.is_none() && rep.clc.is_none());
+        assert!(rep.stats.stage("online").is_some());
+        assert!(rep.stats.stage("census:online").is_some());
+        assert!(rep.stats.stage("presync").is_none());
+        assert!(rep.stats.stage("clc").is_none());
+        assert!(rep.stats.stage("scatter").is_some());
     }
 
     #[test]
@@ -1268,7 +1038,6 @@ mod tests {
         let cfg = PipelineConfig {
             presync: PreSync::None,
             clc: None,
-            parallel: None,
             ..Default::default()
         };
         let rep = synchronize(&mut t, &init, None, &LMIN, &cfg).unwrap();

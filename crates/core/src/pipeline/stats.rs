@@ -1,5 +1,4 @@
-//! Pipeline instrumentation: per-stage throughput, shard accounting, and
-//! merge wait times.
+//! Pipeline instrumentation: per-stage item counts, times and throughput.
 
 use std::collections::BTreeMap;
 use std::time::Duration;
@@ -11,52 +10,36 @@ pub struct StageStats {
     pub name: &'static str,
     /// Work items the stage processed — events for the mapping stages
     /// (`"match"`, `"lower"`, `"presync"`, `"clc"`, `"gather"`/`"ingest"`,
-    /// `"scatter"`), messages + logical messages for the censuses. For
-    /// sharded stages this is the *sum of per-shard counts*, so it doubles
-    /// as the shard accounting check: it must equal the sequential item
-    /// count. Streamed runs replace `"gather"` with the `"ingest"` stage
-    /// recorded during parsing; both count every event exactly once.
+    /// `"scatter"`), messages + logical messages for the censuses.
+    /// Streamed runs replace `"gather"` with the `"ingest"` stage recorded
+    /// during parsing; both count every event exactly once.
     pub items: usize,
     /// Wall-clock seconds the stage took.
     pub seconds: f64,
-    /// Number of shards the work was split into (1 when run sequentially).
-    /// For the replay `"clc"` stage this is the worker count — one worker
-    /// per process timeline.
-    pub shards: usize,
-    /// Seconds spent blocked on cross-shard coordination (0 when run
-    /// sequentially). For fork/join stages (`"match"`, `"presync"`, the
-    /// censuses) this is the time the merging thread waited on shard
-    /// results. For the replay `"clc"` stage it is the workers' *summed*
-    /// stall time waiting on remote bounds from peer timelines — summed
-    /// across concurrent workers, so it can legitimately exceed
-    /// [`seconds`](Self::seconds).
-    pub merge_wait_seconds: f64,
+    /// Blocks the stage processed its items in: decoded input blocks for
+    /// `"ingest"` and `"index"`, emitted frames for `"emit"`, 1 for every
+    /// one-pass stage.
+    pub blocks: usize,
 }
 
 impl StageStats {
-    pub(crate) fn sequential(name: &'static str, items: usize, took: Duration) -> Self {
-        StageStats {
-            name,
-            items,
-            seconds: took.as_secs_f64(),
-            shards: 1,
-            merge_wait_seconds: 0.0,
-        }
+    /// A one-pass stage.
+    pub(crate) fn new(name: &'static str, items: usize, took: Duration) -> Self {
+        StageStats::with_blocks(name, items, took, 1)
     }
 
-    pub(crate) fn sharded(
+    /// A stage that processed its items in `blocks` blocks.
+    pub(crate) fn with_blocks(
         name: &'static str,
         items: usize,
         took: Duration,
-        shards: usize,
-        merge_wait: Duration,
+        blocks: usize,
     ) -> Self {
         StageStats {
             name,
             items,
             seconds: took.as_secs_f64(),
-            shards,
-            merge_wait_seconds: merge_wait.as_secs_f64(),
+            blocks,
         }
     }
 
@@ -93,24 +76,17 @@ impl StageTotals {
 }
 
 /// Instrumentation of a whole [`synchronize`](crate::synchronize) run.
-///
-/// Collected on both the sequential and the parallel path, so the two can
-/// be compared directly; on the sequential path every stage reports one
-/// shard and zero merge wait.
 #[derive(Debug, Clone, Default)]
 pub struct PipelineStats {
-    /// Worker threads used (1 = sequential).
-    pub workers: usize,
     /// Per-stage instrumentation, in execution order.
     pub stages: Vec<StageStats>,
     /// Wall-clock seconds for the whole pipeline.
     pub total_seconds: f64,
     /// Peak bytes of timestamp column slabs resident at once. The batch
-    /// engines gather every timeline's `i64` lane up front, so this is
+    /// pipeline gathers every timeline's `i64` lane up front, so this is
     /// `8 × n_events`; the incremental windowed engine retires segments as
     /// their finalization horizon clears and reports its true high-water
-    /// mark, which stays O(window) as the trace grows. 0 on the AoS path,
-    /// which keeps no separate column slabs.
+    /// mark, which stays O(window) as the trace grows.
     pub peak_resident_column_bytes: u64,
 }
 
@@ -118,11 +94,6 @@ impl PipelineStats {
     /// Look up a stage by name.
     pub fn stage(&self, name: &str) -> Option<&StageStats> {
         self.stages.iter().find(|s| s.name == name)
-    }
-
-    /// Total shards across all stages.
-    pub fn total_shards(&self) -> usize {
-        self.stages.iter().map(|s| s.shards).sum()
     }
 
     /// Fold this run's stages into cumulative per-stage totals, keyed by
@@ -140,13 +111,13 @@ impl PipelineStats {
     /// Render a compact per-stage table (used by the experiments binary).
     pub fn render(&self) -> String {
         let mut out = format!(
-            "pipeline: {} worker(s), {:.3}s total, peak columns {} B\n",
-            self.workers, self.total_seconds, self.peak_resident_column_bytes
+            "pipeline: {:.3}s total, peak columns {} B\n",
+            self.total_seconds, self.peak_resident_column_bytes
         );
         for s in &self.stages {
             out.push_str(&format!(
-                "  {:<16} {:>10} items  {:>8} shards  {:>12.0} items/s  merge wait {:.4}s\n",
-                s.name, s.items, s.shards, s.items_per_sec(), s.merge_wait_seconds
+                "  {:<16} {:>10} items  {:>8} blocks  {:>12.0} items/s\n",
+                s.name, s.items, s.blocks, s.items_per_sec()
             ));
         }
         out
@@ -159,29 +130,22 @@ mod tests {
 
     #[test]
     fn throughput_and_lookup() {
-        let mut stats = PipelineStats {
-            workers: 4,
-            ..PipelineStats::default()
-        };
-        stats.stages.push(StageStats::sequential("match", 1000, Duration::from_millis(10)));
-        stats.stages.push(StageStats::sharded(
-            "presync",
-            5000,
-            Duration::from_millis(20),
-            8,
-            Duration::from_millis(2),
-        ));
+        let mut stats = PipelineStats::default();
+        stats.stages.push(StageStats::new("match", 1000, Duration::from_millis(10)));
+        stats
+            .stages
+            .push(StageStats::with_blocks("ingest", 5000, Duration::from_millis(20), 8));
         let m = stats.stage("match").unwrap();
         assert!((m.items_per_sec() - 100_000.0).abs() < 1.0);
-        assert_eq!(stats.stage("presync").unwrap().shards, 8);
-        assert_eq!(stats.total_shards(), 9);
+        assert_eq!(m.blocks, 1);
+        assert_eq!(stats.stage("ingest").unwrap().blocks, 8);
         assert!(stats.stage("nope").is_none());
-        assert!(stats.render().contains("presync"));
+        assert!(stats.render().contains("ingest"));
     }
 
     #[test]
     fn zero_time_stage_reports_zero_throughput() {
-        let s = StageStats::sequential("census:raw", 10, Duration::ZERO);
+        let s = StageStats::new("census:raw", 10, Duration::ZERO);
         assert_eq!(s.items_per_sec(), 0.0);
     }
 }

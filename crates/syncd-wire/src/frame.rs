@@ -6,8 +6,7 @@
 //! the field that could not be read — never a panic.
 
 use clocksync::{
-    ClcParams, OffsetMeasurement, OnlineSpec, ParallelConfig, PipelineConfig, PreSync,
-    SyncMethod, TimestampStorage,
+    ClcParams, OffsetMeasurement, OnlineSpec, PipelineConfig, PreSync, SyncMethod,
 };
 use onlinesync::KalmanParams;
 use simclock::{Dur, Time};
@@ -17,6 +16,14 @@ use tracefmt::{LatencyTable, MinLatency, Rank, UniformLatency};
 /// Sizing hint for a Hello frame (used by handshake readers that cap the
 /// first read).
 pub const HELLO_SIZE_HINT: usize = 4 + 1 + 4 + 2 + 2 + 256;
+
+/// The job config's legacy storage byte: the encoder always writes 1
+/// (columnar, the only layout), and the decoder rejects anything above it
+/// and otherwise ignores the byte. The legacy parallel block that follows
+/// the CLC block is treated the same way: flag 0 is written, flags 0 and 1
+/// are accepted (1 with its two `u32` fields, skipped), anything else is
+/// rejected. See DESIGN §16.
+const LEGACY_STORAGE_COLUMNAR: u8 = 1;
 
 /// Everything that can go wrong while encoding, scanning, or decoding
 /// frames. All variants are *typed* protocol outcomes — the scanner and
@@ -263,15 +270,6 @@ pub struct WireClc {
     pub backward_window_factor: f64,
 }
 
-/// Parallel pipeline execution on the wire.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WireParallel {
-    /// Requested worker count (the service clamps it to its fair share).
-    pub workers: u32,
-    /// Shard size in events.
-    pub shard_size: u32,
-}
-
 /// Online drift-filter tuning on the wire (read when the method byte
 /// selects the online method; carried — at 24 bytes — either way).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -329,12 +327,8 @@ pub struct WireJobConfig {
     pub max_retries: u32,
     /// Pre-synchronisation stage: 0 none, 1 align-only, 2 linear.
     pub presync: u8,
-    /// Timestamp storage: 0 AoS, 1 columnar.
-    pub storage: u8,
     /// CLC stage (None = skip).
     pub clc: Option<WireClc>,
-    /// Parallel execution (None = sequential).
-    pub parallel: Option<WireParallel>,
     /// Minimum-latency model.
     pub lmin: WireLatency,
     /// Init offset measurements, one slot per process.
@@ -363,18 +357,10 @@ impl WireJobConfig {
                 PreSync::AlignOnly => 1,
                 PreSync::Linear => 2,
             },
-            storage: match cfg.storage {
-                TimestampStorage::Aos => 0,
-                TimestampStorage::Columnar => 1,
-            },
             clc: cfg.clc.as_ref().map(|c| WireClc {
                 mu: c.mu,
                 backward: c.backward,
                 backward_window_factor: c.backward_window_factor,
-            }),
-            parallel: cfg.parallel.as_ref().map(|p| WireParallel {
-                workers: p.workers as u32,
-                shard_size: p.shard_size as u32,
             }),
             lmin,
             init: Vec::new(),
@@ -424,19 +410,10 @@ impl WireJobConfig {
                 2 => PreSync::Linear,
                 _ => return Err(WireError::BadPayload("presync")),
             },
-            storage: match self.storage {
-                0 => TimestampStorage::Aos,
-                1 => TimestampStorage::Columnar,
-                _ => return Err(WireError::BadPayload("storage")),
-            },
             clc: self.clc.map(|c| ClcParams {
                 mu: c.mu,
                 backward: c.backward,
                 backward_window_factor: c.backward_window_factor,
-            }),
-            parallel: self.parallel.map(|p| ParallelConfig {
-                workers: p.workers as usize,
-                shard_size: (p.shard_size as usize).max(1),
             }),
             method: match self.method {
                 0 => SyncMethod::Interp,
@@ -736,7 +713,7 @@ impl Frame {
                 e.u64(cfg.deadline_us);
                 e.u32(cfg.max_retries);
                 e.u8(cfg.presync);
-                e.u8(cfg.storage);
+                e.u8(LEGACY_STORAGE_COLUMNAR);
                 match &cfg.clc {
                     None => e.u8(0),
                     Some(c) => {
@@ -746,14 +723,8 @@ impl Frame {
                         e.f64(c.backward_window_factor);
                     }
                 }
-                match &cfg.parallel {
-                    None => e.u8(0),
-                    Some(p) => {
-                        e.u8(1);
-                        e.u32(p.workers);
-                        e.u32(p.shard_size);
-                    }
-                }
+                // Legacy parallel flag: always "sequential".
+                e.u8(0);
                 match &cfg.lmin {
                     WireLatency::Uniform(ps) => {
                         e.u8(0);
@@ -864,7 +835,10 @@ impl Frame {
                 let deadline_us = d.u64("deadline")?;
                 let max_retries = d.u32("max_retries")?;
                 let presync = d.u8("presync")?;
-                let storage = d.u8("storage")?;
+                // Legacy storage byte: range-checked, then ignored.
+                if d.u8("storage")? > LEGACY_STORAGE_COLUMNAR {
+                    return Err(WireError::BadPayload("storage"));
+                }
                 let clc = match d.u8("clc flag")? {
                     0 => None,
                     1 => Some(WireClc {
@@ -874,14 +848,15 @@ impl Frame {
                     }),
                     _ => return Err(WireError::BadPayload("clc flag")),
                 };
-                let parallel = match d.u8("parallel flag")? {
-                    0 => None,
-                    1 => Some(WireParallel {
-                        workers: d.u32("parallel workers")?,
-                        shard_size: d.u32("parallel shard")?,
-                    }),
+                // Legacy parallel block: range-checked, then ignored.
+                match d.u8("parallel flag")? {
+                    0 => {}
+                    1 => {
+                        d.u32("parallel workers")?;
+                        d.u32("parallel shard")?;
+                    }
                     _ => return Err(WireError::BadPayload("parallel flag")),
-                };
+                }
                 let lmin = match d.u8("lmin tag")? {
                     0 => WireLatency::Uniform(d.i64("lmin uniform")?),
                     1 => {
@@ -940,9 +915,7 @@ impl Frame {
                     deadline_us,
                     max_retries,
                     presync,
-                    storage,
                     clc,
-                    parallel,
                     lmin,
                     init,
                     fin,
@@ -1034,9 +1007,7 @@ mod tests {
             deadline_us: 12_000,
             max_retries: 3,
             presync: 2,
-            storage: 1,
             clc: Some(WireClc { mu: 0.99, backward: true, backward_window_factor: 50.0 }),
-            parallel: Some(WireParallel { workers: 4, shard_size: 512 }),
             lmin: WireLatency::Table { n: 2, entries: vec![0, 4_000_000, 4_000_000, 0] },
             init: vec![None, Some(WireMeasurement { worker_time_ps: 1, offset_ps: -2, rtt_ps: 3 })],
             fin: Some(vec![None, None]),
@@ -1103,12 +1074,9 @@ mod tests {
         let cfg = config();
         let pipeline = cfg.pipeline_config().expect("valid");
         assert_eq!(pipeline.presync, PreSync::Linear);
-        assert_eq!(pipeline.storage, TimestampStorage::Columnar);
         let clc = pipeline.clc.expect("clc present");
         assert_eq!(clc.mu, 0.99);
         assert!(clc.backward);
-        let par = pipeline.parallel.expect("parallel present");
-        assert_eq!(par.workers, 4);
         let (init, fin) = cfg.measurements();
         assert_eq!(init.len(), 2);
         assert!(init[0].is_none() && init[1].is_some());
@@ -1204,13 +1172,43 @@ mod tests {
         let kind = cfg[4];
         let mut p = cfg[5..].to_vec();
         // lmin tag offset: mode(1+8) prio(1) deadline(8) retries(4)
-        // presync(1) storage(1) clc(1+17) parallel(1+8) = 51.
-        assert_eq!(p[51], 1, "lmin tag expected at offset 51");
-        p[52..56].copy_from_slice(&0x8000_0000u32.to_le_bytes());
+        // presync(1) storage(1) clc(1+17) parallel flag(1) = 43.
+        assert_eq!(p[43], 1, "lmin tag expected at offset 43");
+        p[44..48].copy_from_slice(&0x8000_0000u32.to_le_bytes());
         assert_eq!(
             Frame::decode(kind, &p),
             Err(WireError::BadPayload("lmin table n"))
         );
+    }
+
+    #[test]
+    fn legacy_storage_and_parallel_bytes_are_checked_then_ignored() {
+        // Offsets: mode(1+8) prio(1) deadline(8) retries(4) presync(1),
+        // then storage at 23; clc(1+17) puts the parallel flag at 42.
+        let bytes = Frame::JobConfig(Box::new(config())).encode();
+        let kind = bytes[4];
+        let p = bytes[5..].to_vec();
+        assert_eq!(p[23], 1, "the encoder writes storage = columnar");
+        assert_eq!(p[42], 0, "the encoder writes parallel flag = 0");
+        let want = Frame::decode(kind, &p).expect("decode");
+
+        // An old AoS storage byte and a parallel block {64, 16} decode to
+        // the same config.
+        let mut old = p.clone();
+        old[23] = 0;
+        old[42] = 1;
+        let tail = old.split_off(43);
+        old.extend_from_slice(&64u32.to_le_bytes());
+        old.extend_from_slice(&16u32.to_le_bytes());
+        old.extend_from_slice(&tail);
+        assert_eq!(Frame::decode(kind, &old), Ok(want));
+
+        let mut bad = p.clone();
+        bad[23] = 2;
+        assert_eq!(Frame::decode(kind, &bad), Err(WireError::BadPayload("storage")));
+        let mut bad = p;
+        bad[42] = 2;
+        assert_eq!(Frame::decode(kind, &bad), Err(WireError::BadPayload("parallel flag")));
     }
 
     #[test]

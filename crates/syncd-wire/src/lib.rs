@@ -40,7 +40,7 @@ mod scan;
 
 pub use frame::{
     ErrorCode, Frame, FrameKind, WireClc, WireError, WireJobConfig, WireJobResult, WireJump,
-    WireLatency, WireMeasurement, WireMode, WireParallel, HELLO_SIZE_HINT,
+    WireLatency, WireMeasurement, WireMode, HELLO_SIZE_HINT,
 };
 pub use scan::FrameScanner;
 

@@ -31,7 +31,7 @@ pub struct JobCost {
 }
 
 /// Per-event working-set charge: the decoded record itself plus the
-/// columnar timestamp copy, replay scratch, and matching entries the
+/// columnar timestamp copy, CLC scratch, and matching entries the
 /// pipeline allocates per event.
 const PER_EVENT_OVERHEAD: u64 = 32;
 

@@ -11,11 +11,10 @@
 //!   ([`tracefmt::io::estimate_columnar_stream`]), so an over-budget
 //!   stream is bounced in microseconds without allocating for it.
 //! * **Scheduling** — three strict [`Priority`] classes, FIFO within a
-//!   class, dispatched to a fixed pool of executor threads. Each job's
-//!   requested pipeline worker count is clamped to its fair share of the
-//!   pool (`pool_workers / executors`), so a saturated service never
-//!   oversubscribes the machine — and since the pipeline is bit-identical
-//!   for every worker count, the clamp never changes results.
+//!   class, dispatched to a fixed pool of executor threads. Jobs run in
+//!   parallel across executors; each job's pipeline is one sequential
+//!   pass on its executor's thread, so a saturated service runs at most
+//!   `executors` pipeline threads.
 //! * **Fault isolation** — every attempt runs under `catch_unwind`; a
 //!   poisoned input fails *typed* ([`JobError`]), is retried with
 //!   exponential backoff up to a budget, and cannot take down an executor

@@ -32,8 +32,7 @@ use simclock::Time;
 /// Implemented by [`Trace`] (array-of-structs: reads
 /// `procs[p].events[i].time`) and [`TraceColumns`] (structure-of-arrays:
 /// reads `cols[p][i]`). Census code generic over `TimeSource` runs
-/// identically on both — the foundation of the columnar/AoS differential
-/// guarantee.
+/// identically on both, so the reference checks can read either layout.
 pub trait TimeSource {
     /// Timestamp of the event `id`.
     fn time_of(&self, id: EventId) -> Time;
@@ -274,9 +273,8 @@ impl TraceColumns {
         self.bounds.windows(2).map(|w| &self.slab[w[0]..w[1]])
     }
 
-    /// Iterate the columns mutably, as `(proc index, &mut [i64])` — the
-    /// sharding unit of the parallel pipeline. The slices are disjoint
-    /// sub-slices of the slab, so scoped threads may own one each.
+    /// Iterate the columns mutably, as `(proc index, &mut [i64])`. The
+    /// slices are disjoint sub-slices of the slab.
     pub fn iter_mut_slices(&mut self) -> impl Iterator<Item = (usize, &mut [i64])> {
         let TraceColumns { slab, bounds } = self;
         let mut rest: &mut [i64] = slab;

@@ -38,12 +38,10 @@ fn main() {
         .collect();
     let lmin = move |a: Rank, b: Rank| lmin_table[a.idx()][b.idx()];
 
-    // Scalasca's pipeline: Eq. 3 interpolation, then the CLC, sharded
-    // across the machine's cores (bit-identical to the sequential path).
+    // Scalasca's pipeline: Eq. 3 interpolation, then the CLC.
     let cfg = PipelineConfig {
         presync: PreSync::Linear,
         clc: Some(ClcParams::default()),
-        parallel: Some(drift_lab::clocksync::ParallelConfig::default()),
         ..Default::default()
     };
     let report = drift_lab::clocksync::synchronize(

@@ -81,9 +81,9 @@ pub use workloads;
 /// The most commonly used types across the workspace.
 pub mod prelude {
     pub use clocksync::{
-        controlled_logical_clock, controlled_logical_clock_parallel, estimate_offset,
-        synchronize, ClcParams, LinearInterpolation, OffsetAlignment, OffsetMeasurement,
-        PipelineConfig, PreSync, ProbeSample, SyncMethod, TimestampMap,
+        controlled_logical_clock, estimate_offset, synchronize, ClcParams, LinearInterpolation,
+        OffsetAlignment, OffsetMeasurement, PipelineConfig, PreSync, ProbeSample, SyncMethod,
+        TimestampMap,
     };
     pub use onlinesync::{ClockNetwork, DriftKalman, NetworkConfig, OnlineCorrector};
     pub use mpisim::{

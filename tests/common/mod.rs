@@ -11,6 +11,8 @@
 // subset of it.
 #![allow(dead_code)]
 
+pub mod oracle;
+
 use drift_lab::clocksync::OffsetMeasurement;
 use drift_lab::prelude::*;
 use drift_lab::simclock::{ConstantDrift, DriftModel, RandomWalkDrift, SinusoidalDrift};
@@ -150,6 +152,54 @@ pub fn drifted_trace(
     (trace, init, fin, UniformLatency(Dur::from_us(lmin_us)))
 }
 
+/// Mixed point-to-point + collective ring trace with injected per-process
+/// skew: each round every process sends to its right neighbour then
+/// receives from its left one, and every fourth round ends in an
+/// Allreduce. The same fixture the CLC unit tests use.
+pub fn mixed_trace(procs: usize, rounds: usize) -> Trace {
+    let mut t = Trace::for_ranks(procs);
+    let mut now = vec![0i64; procs];
+    let coll = |begin: bool| {
+        let (op, comm, root, bytes) = (CollOp::Allreduce, CommId::WORLD, None, 8);
+        if begin {
+            EventKind::CollBegin { op, comm, root, bytes }
+        } else {
+            EventKind::CollEnd { op, comm, root, bytes }
+        }
+    };
+    for round in 0..rounds {
+        for (p, now_p) in now.iter_mut().enumerate() {
+            let next = (p + 1) % procs;
+            *now_p += 7 + ((round * 13 + p * 5) % 40) as i64;
+            let skew = ((p * 37) % 90) as i64 - 45;
+            t.procs[p].push(
+                Time::from_us(*now_p + skew),
+                EventKind::Send { to: Rank(next as u32), tag: Tag(round as u32), bytes: 8 },
+            );
+        }
+        for (p, now_p) in now.iter_mut().enumerate() {
+            let prev = (p + procs - 1) % procs;
+            *now_p += 6 + ((round * 11 + p * 3) % 30) as i64;
+            let skew = ((p * 37) % 90) as i64 - 45;
+            t.procs[p].push(
+                Time::from_us(*now_p + skew),
+                EventKind::Recv { from: Rank(prev as u32), tag: Tag(round as u32), bytes: 8 },
+            );
+        }
+        if round % 4 == 0 {
+            let base = *now.iter().max().expect("non-empty");
+            for (p, now_p) in now.iter_mut().enumerate() {
+                let skew = ((p * 37) % 90) as i64 - 45;
+                *now_p = base + ((p * 3) % 10) as i64;
+                t.procs[p].push(Time::from_us(*now_p + skew), coll(true));
+                *now_p += 12 + ((p * 7) % 9) as i64;
+                t.procs[p].push(Time::from_us(*now_p + skew), coll(false));
+            }
+        }
+    }
+    t
+}
+
 /// Assert two traces agree event-for-event (timestamps and kinds).
 pub fn assert_identical(seq: &Trace, par: &Trace, ctx: &str) {
     assert_eq!(seq.n_procs(), par.n_procs(), "{ctx}: proc count");
@@ -240,9 +290,9 @@ pub fn graph_edges(
 }
 
 /// The `DTC2`-v2 vs `DTC3` differential matrix: for every drift model ×
-/// [`PreSync`] × [`TimestampStorage`] × worker count, the v3 zero-copy
-/// streamed ingest must be bit-identical to one-shot v2 decode followed
-/// by [`synchronize`] — corrected timestamps and every stage census.
+/// [`PreSync`], the v3 zero-copy streamed ingest must be bit-identical to
+/// one-shot v2 decode followed by [`synchronize`] — corrected timestamps
+/// and every stage census.
 ///
 /// Shared by `columnar_differential.rs` (AVX2 kernels where the host has
 /// them) and `columnar_differential_scalar.rs` (`TRACEFMT_NO_AVX2`
@@ -250,8 +300,7 @@ pub fn graph_edges(
 /// matrix with a 6000-message trace size.
 pub fn v3_ingest_differential_matrix() {
     use drift_lab::clocksync::{
-        synchronize, synchronize_stream, ClcParams, ParallelConfig, PipelineConfig, PreSync,
-        TimestampStorage,
+        synchronize, synchronize_stream, ClcParams, PipelineConfig, PreSync,
     };
     use drift_lab::tracefmt::io::{
         from_binary_columnar, to_binary_columnar_blocked, to_binary_columnar_v3_blocked,
@@ -265,7 +314,6 @@ pub fn v3_ingest_differential_matrix() {
     };
     let models = ["constant", "sinusoid", "randomwalk"];
     let presyncs = [PreSync::None, PreSync::AlignOnly, PreSync::Linear];
-    let storages = [TimestampStorage::Aos, TimestampStorage::Columnar];
     let mut legs = 0usize;
     for (si, &(procs, msgs)) in sizes.iter().enumerate() {
         for (mi, model) in models.iter().enumerate() {
@@ -274,61 +322,147 @@ pub fn v3_ingest_differential_matrix() {
             let v2 = to_binary_columnar_blocked(&base, 256);
             let v3 = to_binary_columnar_v3_blocked(&base, 256);
             for presync in presyncs {
-                for storage in storages {
-                    for workers in [None, Some(2usize)] {
-                        let ctx = format!(
-                            "{procs}p/{msgs}m {model} {presync:?} {storage:?} \
-                             workers={workers:?}"
-                        );
-                        let cfg = PipelineConfig {
-                            presync,
-                            clc: Some(ClcParams::default()),
-                            parallel: workers
-                                .map(|w| ParallelConfig { workers: w, shard_size: 57 }),
-                            storage,
-                            ..PipelineConfig::default()
-                        };
+                let ctx = format!("{procs}p/{msgs}m {model} {presync:?}");
+                let cfg = PipelineConfig {
+                    presync,
+                    clc: Some(ClcParams::default()),
+                    ..PipelineConfig::default()
+                };
 
-                        // Reference: one-shot v2 decode, then synchronize.
-                        let mut ref_trace = from_binary_columnar(v2.clone())
-                            .unwrap_or_else(|e| panic!("{ctx}: v2 decode failed: {e}"));
-                        let reference =
-                            synchronize(&mut ref_trace, &init, Some(&fin), &lmin, &cfg)
-                                .unwrap_or_else(|e| panic!("{ctx}: v2 pipeline failed: {e}"));
+                // Reference: one-shot v2 decode, then synchronize.
+                let mut ref_trace = from_binary_columnar(v2.clone())
+                    .unwrap_or_else(|e| panic!("{ctx}: v2 decode failed: {e}"));
+                let reference = synchronize(&mut ref_trace, &init, Some(&fin), &lmin, &cfg)
+                    .unwrap_or_else(|e| panic!("{ctx}: v2 pipeline failed: {e}"));
 
-                        // Candidate: v3 zero-copy streamed ingest, awkward
-                        // chunk size on purpose.
-                        let (v3_trace, candidate) = synchronize_stream(
-                            v3.chunks(4096),
-                            &init,
-                            Some(&fin),
-                            &lmin,
-                            &cfg,
-                        )
+                // Candidate: v3 zero-copy streamed ingest, awkward chunk
+                // size on purpose.
+                let (v3_trace, candidate) =
+                    synchronize_stream(v3.chunks(4096), &init, Some(&fin), &lmin, &cfg)
                         .unwrap_or_else(|e| panic!("{ctx}: v3 pipeline failed: {e}"));
 
-                        assert_identical(&ref_trace, &v3_trace, &ctx);
-                        assert_eq!(
-                            reference.raw.p2p.violations, candidate.raw.p2p.violations,
-                            "{ctx}: raw p2p violation lists diverge"
-                        );
-                        assert_eq!(
-                            reference.after_presync.total_violations(),
-                            candidate.after_presync.total_violations(),
-                            "{ctx}: presync census diverges"
-                        );
-                        assert_eq!(
-                            reference.after_clc.as_ref().map(|r| r.total_violations()),
-                            candidate.after_clc.as_ref().map(|r| r.total_violations()),
-                            "{ctx}: post-CLC census diverges"
-                        );
-                        legs += 1;
-                    }
-                }
+                assert_identical(&ref_trace, &v3_trace, &ctx);
+                assert_eq!(
+                    reference.raw.p2p.violations, candidate.raw.p2p.violations,
+                    "{ctx}: raw p2p violation lists diverge"
+                );
+                assert_eq!(
+                    reference.after_presync.total_violations(),
+                    candidate.after_presync.total_violations(),
+                    "{ctx}: presync census diverges"
+                );
+                assert_eq!(
+                    reference.after_clc.as_ref().map(|r| r.total_violations()),
+                    candidate.after_clc.as_ref().map(|r| r.total_violations()),
+                    "{ctx}: post-CLC census diverges"
+                );
+                legs += 1;
             }
         }
     }
     // The matrix must not silently collapse after a refactor.
-    let floor = sizes.len() * models.len() * presyncs.len() * storages.len() * 2;
+    let floor = sizes.len() * models.len() * presyncs.len();
     assert!(legs >= floor, "differential matrix ran only {legs} legs (expected {floor})");
+}
+
+/// Agreement of the planned census kernels with the reference per-item
+/// checks (`check_p2p_messages_at` / `check_collectives_at`) on
+/// adversarial lanes: timestamps near `i64::MIN` and `i64::MAX` (and
+/// transfers of near-`i64` magnitude between an edge and zero), lane
+/// counts that straddle the 64-check chunk width (1, 63, 65, 129), and
+/// empty timelines — including a trace with no events at all.
+///
+/// The kernels run whichever implementation the process selected: AVX2
+/// where the host has it, the scalar fallback under `TRACEFMT_NO_AVX2`.
+/// Called from `columnar_differential.rs` and from the forced-scalar
+/// `columnar_differential_scalar.rs`, so both agree with the reference and
+/// therefore with each other.
+pub fn census_agreement_on_adversarial_lanes() {
+    use drift_lab::tracefmt::{
+        check_collectives_at, check_p2p_messages_at, match_collectives, match_messages,
+        CensusPlan, TraceColumns,
+    };
+
+    // A message's (send, recv) times in ps for regime `r`, check `k`: both
+    // near `i64::MIN`, both near `i64::MAX`, or one near an edge and the
+    // other near zero. Offsets cycle through fine, sub-latency and
+    // reversed transfers.
+    let times = |r: usize, k: i64| -> (i64, i64) {
+        let (s, d) = ((k * 37) % 200, (k * 11) % 7 * 30 - 60);
+        match r {
+            0 => (i64::MIN + 500 + s, i64::MIN + 500 + s + d),
+            1 => (i64::MAX - 500 - s, i64::MAX - 500 - s + d),
+            _ if k % 2 == 0 => (i64::MIN + 1 + s, -s),
+            _ => (i64::MAX - s, s),
+        }
+    };
+    let lmin = UniformLatency(Dur::from_ps(45));
+    let mut cases = 0;
+    for n in [0usize, 1, 63, 65, 129] {
+        for regime in 0..3 {
+            // Timelines 0 and 3 stay empty; messages rotate over 1, 2, 4;
+            // `n` two-member broadcasts (one logical message each) run on
+            // timelines 1 and 2.
+            let mut t = Trace::for_ranks(5);
+            let senders = [1usize, 2, 4];
+            for k in 0..n {
+                let (from, to) = (senders[k % 3], senders[(k + 1) % 3]);
+                let (ts, tr) = times(regime, k as i64);
+                t.procs[from].push(
+                    Time::from_ps(ts),
+                    EventKind::Send { to: Rank(to as u32), tag: Tag(k as u32), bytes: 0 },
+                );
+                t.procs[to].push(
+                    Time::from_ps(tr),
+                    EventKind::Recv { from: Rank(from as u32), tag: Tag(k as u32), bytes: 0 },
+                );
+            }
+            for k in 0..n {
+                let (tb, te) = times(regime, (k + 7) as i64);
+                let (op, comm, root) = (CollOp::Bcast, CommId::WORLD, Some(Rank(1)));
+                for (p, (b, e)) in [(1, (tb, tb)), (2, (te, te))] {
+                    t.procs[p].push(
+                        Time::from_ps(b),
+                        EventKind::CollBegin { op, comm, root, bytes: 0 },
+                    );
+                    t.procs[p].push(
+                        Time::from_ps(e),
+                        EventKind::CollEnd { op, comm, root, bytes: 0 },
+                    );
+                }
+            }
+            let ctx = format!("n={n} regime={regime}");
+            let matching = match_messages(&t);
+            let insts = match_collectives(&t).expect("well-formed collectives");
+            assert_eq!(matching.messages.len(), n, "{ctx}: message lane");
+            let cols = TraceColumns::gather(&t);
+            let plan = CensusPlan::for_columns(&cols, &matching.messages, &insts, &lmin)
+                .expect("plan builds");
+            let flat = plan.flat_of(&cols);
+
+            let (pk, pr) = (
+                plan.p2p_census(flat),
+                check_p2p_messages_at(&cols, &matching.messages, &lmin),
+            );
+            assert_eq!(pk.total, pr.total, "{ctx}: p2p total");
+            assert_eq!(pk.violations, pr.violations, "{ctx}: p2p violation lists");
+            assert_eq!(pk.reversed, pr.reversed, "{ctx}: p2p reversed");
+            let (ck, cr) =
+                (plan.collective_census(flat), check_collectives_at(&cols, &insts, &lmin));
+            assert_eq!(ck.instances, cr.instances, "{ctx}: instances");
+            assert_eq!(ck.logical_total, n, "{ctx}: logical lane");
+            assert_eq!(ck.logical_total, cr.logical_total, "{ctx}: logical total");
+            assert_eq!(ck.logical_violated, cr.logical_violated, "{ctx}: logical violated");
+            assert_eq!(ck.logical_reversed, cr.logical_reversed, "{ctx}: logical reversed");
+            assert_eq!(ck.instances_affected, cr.instances_affected, "{ctx}: affected");
+            // The inputs must actually exercise violations when there are
+            // checks at all.
+            if n > 1 {
+                assert!(!pr.violations.is_empty(), "{ctx}: no p2p violations");
+                assert!(pr.violations.len() < n, "{ctx}: every message violated");
+            }
+            cases += 1;
+        }
+    }
+    assert_eq!(cases, 15);
 }

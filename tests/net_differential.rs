@@ -1,24 +1,27 @@
 //! Differential guarantees for the network layer: a job submitted through
 //! `syncd-client` over a real loopback socket produces **bit-identical**
 //! output — corrected timestamps, jump set, max jump, typed errors — to
-//! the same job run in process, across the storage × workers × presync ×
-//! {batch, incremental} grid, under contention, and around mid-job client
-//! disconnects. The router test pins that placement (including work
-//! stealing) never changes results.
+//! the same job run in process, across the presync × {batch, incremental}
+//! grid, under contention, and around mid-job client disconnects. A config
+//! frame carrying the legacy storage and parallel fields is accepted and
+//! answered exactly like the default config. The router test pins that
+//! placement (including work stealing) never changes results.
 
 mod common;
 
 use common::{assert_identical, drifted_trace};
 use drift_lab::clocksync::{
-    synchronize, synchronize_stream_incremental, OffsetMeasurement, ParallelConfig,
-    PipelineConfig, PreSync, TimestampStorage,
+    synchronize, synchronize_stream_incremental, OffsetMeasurement, PipelineConfig, PreSync,
 };
 use drift_lab::syncd::{
     chunked, Counter, Fault, FaultInjector, JobInput, JobRouter, JobSpec, NetServer,
     NetServerConfig, RouterConfig, ServiceConfig, TenantConfig,
 };
 use drift_lab::syncd_client::{ClientError, JobRequest, SyncClient};
-use drift_lab::syncd_wire::{ErrorCode, WireJobConfig, WireLatency, WireMode};
+use drift_lab::syncd_wire::{
+    ErrorCode, Frame, FrameScanner, WireJobConfig, WireJobResult, WireJump, WireLatency,
+    WireMode, MAGIC, VERSION,
+};
 use drift_lab::tracefmt::io::{
     from_binary_columnar, to_binary_columnar_blocked, to_binary_columnar_v3_blocked,
 };
@@ -27,22 +30,12 @@ use std::sync::Arc;
 use std::time::Duration;
 
 fn configs() -> Vec<(String, PipelineConfig)> {
-    let mut out = Vec::new();
-    for storage in [TimestampStorage::Aos, TimestampStorage::Columnar] {
-        for workers in [1usize, 2] {
-            for presync in [PreSync::AlignOnly, PreSync::Linear] {
-                let cfg = PipelineConfig {
-                    presync,
-                    parallel: (workers > 1)
-                        .then_some(ParallelConfig { workers, shard_size: 64 }),
-                    storage,
-                    ..PipelineConfig::default()
-                };
-                out.push((format!("{storage:?}/w{workers}/{presync:?}"), cfg));
-            }
-        }
-    }
-    out
+    [PreSync::None, PreSync::AlignOnly, PreSync::Linear]
+        .into_iter()
+        .map(|presync| {
+            (format!("{presync:?}"), PipelineConfig { presync, ..PipelineConfig::default() })
+        })
+        .collect()
 }
 
 fn request(
@@ -67,7 +60,6 @@ fn test_server() -> NetServer {
         ingest_window: 1 << 20,
         service: ServiceConfig {
             executors: 2,
-            pool_workers: 4,
             ..ServiceConfig::default()
         },
     })
@@ -113,6 +105,105 @@ fn loopback_batch_matches_direct_across_the_grid() {
             assert_eq!(w.size_ps, j.size.as_ps(), "{label}: jump size");
         }
     }
+    server.shutdown();
+}
+
+/// Run one batch job over a raw socket, sending `config_frame` verbatim
+/// as its config frame: handshake, upload under the credit window, then
+/// collect the reply's stream, jump set and summary.
+fn raw_batch_job(
+    addr: std::net::SocketAddr,
+    config_frame: &[u8],
+    bytes: &[u8],
+) -> (Vec<u8>, Vec<WireJump>, WireJobResult) {
+    use std::io::{Read, Write};
+    let mut sock = std::net::TcpStream::connect(addr).expect("connect");
+    sock.set_read_timeout(Some(Duration::from_secs(60))).expect("timeout");
+    let mut scanner = FrameScanner::new();
+    let mut pending = std::collections::VecDeque::new();
+    let mut recv = |sock: &mut std::net::TcpStream| loop {
+        if let Some(f) = pending.pop_front() {
+            return f;
+        }
+        let mut buf = [0u8; 64 * 1024];
+        let n = sock.read(&mut buf).expect("read");
+        assert!(n > 0, "server closed the connection");
+        pending.extend(scanner.feed(&buf[..n]).expect("well-formed frames"));
+    };
+    let hello = Frame::Hello { magic: MAGIC, version: VERSION, token: "tok".into() };
+    sock.write_all(&hello.encode()).expect("hello");
+    let mut credit = match recv(&mut sock) {
+        Frame::HelloAck { credit, .. } => credit,
+        other => panic!("expected HelloAck, got {other:?}"),
+    };
+    sock.write_all(config_frame).expect("config");
+    for slice in bytes.chunks(4096) {
+        while credit < slice.len() as u64 {
+            match recv(&mut sock) {
+                Frame::Credit { grant } => credit += grant,
+                other => panic!("expected Credit during upload, got {other:?}"),
+            }
+        }
+        credit -= slice.len() as u64;
+        sock.write_all(&Frame::Chunk(slice.to_vec()).encode()).expect("chunk");
+    }
+    sock.write_all(&Frame::ChunkEnd.encode()).expect("chunk end");
+    let (mut stream, mut jumps) = (Vec::new(), Vec::new());
+    loop {
+        match recv(&mut sock) {
+            Frame::Chunk(b) => stream.extend(b),
+            Frame::Jumps(batch) => jumps.extend(batch),
+            Frame::Credit { .. } => {}
+            Frame::JobResult(summary) => return (stream, jumps, summary),
+            other => panic!("unexpected frame in result stream: {other:?}"),
+        }
+    }
+}
+
+/// A config frame from an older client — storage byte 0 (the retired
+/// array-of-structs layout) and a parallel block requesting 64 workers
+/// with shard size 16 — is accepted, and its reply is bit-identical to the
+/// default config's: same corrected stream, same jump set, same summary up
+/// to timing.
+#[test]
+fn loopback_legacy_storage_and_parallel_fields_are_ignored() {
+    let (trace, init, fin, lmin) = drifted_trace(4, 300, "sinusoid", 43);
+    let bytes = to_binary_columnar_blocked(&trace, 32).to_vec();
+    let config = request(&PipelineConfig::default(), lmin, &init, &fin, WireMode::Batch, vec![])
+        .config;
+    let current = Frame::JobConfig(Box::new(config)).encode();
+    // Payload offsets (after the 4-byte length and the kind byte): mode
+    // (1+8) prio (1) deadline (8) retries (4) presync (1) put storage at
+    // 23; the CLC block (1+17) puts the parallel flag at 42.
+    let (head, payload) = current.split_at(5);
+    assert_eq!((payload[23], payload[42]), (1, 0), "current encoder's legacy bytes");
+    let mut legacy_payload = payload.to_vec();
+    legacy_payload[23] = 0;
+    legacy_payload[42] = 1;
+    let tail = legacy_payload.split_off(43);
+    legacy_payload.extend_from_slice(&64u32.to_le_bytes());
+    legacy_payload.extend_from_slice(&16u32.to_le_bytes());
+    legacy_payload.extend_from_slice(&tail);
+    let mut legacy = ((legacy_payload.len() + 1) as u32).to_le_bytes().to_vec();
+    legacy.push(head[4]);
+    legacy.extend_from_slice(&legacy_payload);
+
+    let server = test_server();
+    let addr = server.local_addr();
+    let (want_stream, want_jumps, want) = raw_batch_job(addr, &current, &bytes);
+    let (got_stream, got_jumps, got) = raw_batch_job(addr, &legacy, &bytes);
+    assert_eq!(got_stream, want_stream, "corrected streams diverge");
+    assert_eq!(got_jumps, want_jumps, "jump sets diverge");
+    let untimed = |r: WireJobResult| WireJobResult { queue_wait_us: 0, run_time_us: 0, ..r };
+    assert_eq!(untimed(got), untimed(want), "summaries diverge");
+    assert!(want.n_jumps > 0, "the job must exercise the CLC");
+
+    // And both equal the in-process pipeline.
+    let mut direct = trace.clone();
+    synchronize(&mut direct, &init, Some(&fin), &lmin, &PipelineConfig::default())
+        .expect("direct run");
+    let returned = from_binary_columnar(got_stream.into()).expect("decode");
+    assert_identical(&direct, &returned, "legacy config over the socket");
     server.shutdown();
 }
 
@@ -358,7 +449,6 @@ fn router_steals_work_and_placement_never_changes_bits() {
         steal_threshold: 2,
         node: ServiceConfig {
             executors: 1,
-            pool_workers: 1,
             queue_capacity: 64,
             ..ServiceConfig::default()
         },

@@ -1,5 +1,7 @@
 //! Property-based invariants on the core data structures and algorithms.
 
+mod common;
+
 use drift_lab::clocksync::{controlled_logical_clock, ClcParams, LinearInterpolation,
     OffsetMeasurement, PreSync, TimestampMap};
 use drift_lab::prelude::*;
@@ -92,17 +94,18 @@ proptest! {
     }
 
     #[test]
-    fn parallel_clc_equals_serial((trace, lmin_us) in arb_skewed_trace()) {
+    fn clc_equals_the_map_based_oracle((trace, lmin_us) in arb_skewed_trace()) {
         let lmin = UniformLatency(Dur::from_us(lmin_us));
         let params = ClcParams::default();
-        let mut serial = trace.clone();
-        let mut par = trace;
-        controlled_logical_clock(&mut serial, &lmin, &params).unwrap();
-        drift_lab::clocksync::controlled_logical_clock_parallel(&mut par, &lmin, &params)
-            .unwrap();
-        for p in 0..serial.n_procs() {
-            prop_assert_eq!(&serial.procs[p].events, &par.procs[p].events);
+        let mut want = trace.clone();
+        let mut got = trace;
+        let want_rep =
+            common::oracle::controlled_logical_clock_oracle(&mut want, &lmin, &params).unwrap();
+        let got_rep = controlled_logical_clock(&mut got, &lmin, &params).unwrap();
+        for p in 0..want.n_procs() {
+            prop_assert_eq!(&want.procs[p].events, &got.procs[p].events);
         }
+        common::oracle::assert_reports_identical(&want_rep, &got_rep, "proptest");
     }
 
     // --- codecs ---------------------------------------------------------------
@@ -230,20 +233,13 @@ proptest! {
     /// `t_recv >= t_send + l_min` — checked explicitly against the event
     /// times, not just via the report.
     #[test]
-    fn pipeline_clc_leaves_no_latency_violations(
-        (trace, lmin_us) in arb_skewed_trace(),
-        workers in 1usize..5,
-    ) {
+    fn pipeline_clc_leaves_no_latency_violations((trace, lmin_us) in arb_skewed_trace()) {
         let n = trace.n_procs();
         let mut t = trace;
         let lmin = Dur::from_us(lmin_us);
         let cfg = drift_lab::clocksync::PipelineConfig {
             presync: PreSync::None,
             clc: Some(ClcParams::default()),
-            parallel: Some(drift_lab::clocksync::ParallelConfig {
-                workers,
-                shard_size: 16,
-            }),
             ..Default::default()
         };
         let rep = drift_lab::clocksync::synchronize(
@@ -269,7 +265,6 @@ proptest! {
         let cfg = drift_lab::clocksync::PipelineConfig {
             presync: PreSync::None,
             clc: Some(ClcParams::default()),
-            parallel: Some(drift_lab::clocksync::ParallelConfig::default()),
             ..Default::default()
         };
         drift_lab::clocksync::synchronize(
@@ -284,22 +279,15 @@ proptest! {
     }
 
     /// The identity configuration — no pre-synchronisation, no CLC — must
-    /// leave every timestamp untouched, sequentially and sharded.
+    /// leave every timestamp untouched (gather and scatter included).
     #[test]
-    fn identity_pipeline_leaves_trace_unchanged(
-        (trace, lmin_us) in arb_skewed_trace(),
-        par_flag in 0usize..2,
-    ) {
+    fn identity_pipeline_leaves_trace_unchanged((trace, lmin_us) in arb_skewed_trace()) {
         let n = trace.n_procs();
         let before = trace.clone();
         let mut t = trace;
         let cfg = drift_lab::clocksync::PipelineConfig {
             presync: PreSync::None,
             clc: None,
-            parallel: (par_flag == 1).then_some(drift_lab::clocksync::ParallelConfig {
-                workers: 3,
-                shard_size: 8,
-            }),
             ..Default::default()
         };
         let rep = drift_lab::clocksync::synchronize(

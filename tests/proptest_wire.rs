@@ -256,7 +256,6 @@ fn assert_no_leak(hostile: Vec<u8>, read_limit: usize, write_quota: Option<u64>)
         ingest_window: 1 << 20,
         service: ServiceConfig {
             executors: 1,
-            pool_workers: 1,
             max_retries: 1,
             retry_backoff: Duration::from_millis(1),
             ..ServiceConfig::default()
@@ -360,7 +359,6 @@ proptest! {
             ingest_window: 1 << 20,
             service: ServiceConfig {
                 executors: 1,
-                pool_workers: 1,
                 max_retries: 1,
                 retry_backoff: Duration::from_millis(1),
                 ..ServiceConfig::default()

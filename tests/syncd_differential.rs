@@ -1,15 +1,12 @@
 //! Differential guarantees for the `syncd` service: a job run through the
-//! service — any storage engine, any worker count, any presync, trace or
-//! stream input, alone or in a contended mixed batch with a poisoned
+//! service — any presync, with or without the CLC, trace or stream input, alone or in a contended mixed batch with a poisoned
 //! neighbour — produces **bit-identical** timestamps to calling
 //! `clocksync::synchronize` directly with the same configuration.
 
 mod common;
 
 use common::{assert_identical, drifted_trace};
-use drift_lab::clocksync::{
-    synchronize, ParallelConfig, PipelineConfig, PreSync, TimestampStorage,
-};
+use drift_lab::clocksync::{synchronize, ClcParams, PipelineConfig, PreSync};
 use drift_lab::syncd::{
     chunked, Counter, Fault, FaultInjector, JobError, JobInput, JobSpec, Priority,
     ServiceConfig, SyncService,
@@ -20,21 +17,10 @@ use std::sync::Arc;
 
 fn configs() -> Vec<(String, PipelineConfig)> {
     let mut out = Vec::new();
-    for storage in [TimestampStorage::Aos, TimestampStorage::Columnar] {
-        for workers in [1usize, 2, 4] {
-            for presync in [PreSync::AlignOnly, PreSync::Linear] {
-                let cfg = PipelineConfig {
-                    presync,
-                    parallel: (workers > 1)
-                        .then_some(ParallelConfig { workers, shard_size: 64 }),
-                    storage,
-                    ..PipelineConfig::default()
-                };
-                out.push((
-                    format!("{storage:?}/w{workers}/{presync:?}"),
-                    cfg,
-                ));
-            }
+    for presync in [PreSync::None, PreSync::AlignOnly, PreSync::Linear] {
+        for clc in [Some(ClcParams::default()), None] {
+            let cfg = PipelineConfig { presync, clc, ..PipelineConfig::default() };
+            out.push((format!("{presync:?}/clc={}", clc.is_some()), cfg));
         }
     }
     out
@@ -60,15 +46,14 @@ fn submit(
         .expect("admission accepts the job")
 }
 
-/// Every storage × workers × presync combination, both input kinds, one
-/// shared service: each job's output must equal its direct-call twin.
+/// Every presync × CLC on/off combination, both input kinds, one shared
+/// service: each job's output must equal its direct-call twin.
 #[test]
 fn service_matches_direct_across_the_config_grid() {
     let (trace, init, fin, lmin) = drifted_trace(4, 300, "sinusoid", 42);
     let bytes = to_binary_columnar_blocked(&trace, 32);
     let service = SyncService::start(ServiceConfig {
         executors: 2,
-        pool_workers: 8,
         ..ServiceConfig::default()
     });
 
@@ -109,8 +94,8 @@ fn service_matches_direct_across_the_config_grid() {
     }
 
     let m = service.metrics();
-    // 2 storage × 3 worker counts × 2 presyncs, each as trace + stream.
-    assert_eq!(m.counter(Counter::Completed), 12 * 2);
+    // 3 presyncs × CLC on/off, each as trace + stream.
+    assert_eq!(m.counter(Counter::Completed), 6 * 2);
     assert_eq!(m.counter(Counter::Failed), 0);
     assert_eq!(m.counter(Counter::ServiceCrashes), 0);
     service.shutdown();
@@ -174,16 +159,12 @@ fn poisoned_neighbour_cannot_corrupt_healthy_jobs() {
 #[test]
 fn priorities_and_contention_do_not_change_bits() {
     let (trace, init, fin, lmin) = drifted_trace(4, 150, "constant", 99);
-    let cfg = PipelineConfig {
-        parallel: Some(ParallelConfig { workers: 4, shard_size: 32 }),
-        ..PipelineConfig::default()
-    };
+    let cfg = PipelineConfig::default();
     let mut direct = trace.clone();
     synchronize(&mut direct, &init, Some(&fin), &lmin, &cfg).expect("direct run");
 
     let service = SyncService::start(ServiceConfig {
         executors: 1, // force strict queueing so priority order matters
-        pool_workers: 4,
         ..ServiceConfig::default()
     });
     let mut handles = Vec::new();

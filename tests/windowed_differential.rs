@@ -1,15 +1,10 @@
 //! Differential matrix for the incremental windowed engine: for every
-//! window size × drift model × pre-synchronisation mode × worker request,
-//! streaming a columnar trace through
+//! window size × drift model × pre-synchronisation mode, streaming a columnar trace through
 //! [`synchronize_stream_incremental`] and re-decoding the emitted frames
 //! must be *bit-identical* to decoding the whole stream and running the
 //! batch [`synchronize`] — corrected timestamps, the jump set (compared in
 //! canonical order; the batch report lists discovery order), `max_jump`,
 //! and the moved/total event counts.
-//!
-//! The windowed engine is sequential by design, so the worker dimension
-//! pins that a requested [`ParallelConfig`] is *ignored without changing
-//! results*, mirroring the batch engine's any-worker-count guarantee.
 //!
 //! `DRIFT_STRESS=1` widens the matrix with a 6000-message trace size.
 
@@ -17,8 +12,7 @@ mod common;
 
 use common::drifted_trace;
 use drift_lab::clocksync::{
-    synchronize, synchronize_stream_incremental, ClcParams, ParallelConfig, PipelineConfig,
-    PreSync, TimestampStorage,
+    synchronize, synchronize_stream_incremental, ClcParams, PipelineConfig, PreSync,
 };
 use drift_lab::prelude::*;
 use drift_lab::tracefmt::io::{
@@ -110,40 +104,28 @@ fn windowed_engine_differential_matrix() {
             // One sub-block window, two mid windows, one ≥ whole trace.
             let windows = [1usize, 64, 4096, n.max(1)];
             for presync in presyncs {
-                for workers in [None, Some(2usize)] {
-                    let cfg = PipelineConfig {
-                        presync,
-                        clc: Some(ClcParams::default()),
-                        parallel: workers
-                            .map(|w| ParallelConfig { workers: w, shard_size: 57 }),
-                        storage: TimestampStorage::Columnar,
-                        ..PipelineConfig::default()
-                    };
-                    let mut batch = base.clone();
-                    let report =
-                        synchronize(&mut batch, &init, Some(&fin), &lmin, &cfg)
-                            .unwrap_or_else(|e| {
-                                panic!("{procs}p/{msgs}m {model}: batch failed: {e}")
-                            });
-                    let bclc = report.clc.as_ref().expect("clc configured");
-                    for window in windows {
-                        let ctx = format!(
-                            "{procs}p/{msgs}m {model} {presync:?} workers={workers:?} \
-                             window={window}"
-                        );
-                        let (back, rep) =
-                            run_windowed(&v3, &init, &fin, &lmin, &cfg, window, &ctx);
-                        assert_times_match(&batch, &back, &ctx);
-                        let iclc = rep.clc.as_ref().expect("clc ran");
-                        assert_clc_match(bclc, iclc, &ctx);
-                        legs += 1;
-                    }
+                let cfg = PipelineConfig {
+                    presync,
+                    clc: Some(ClcParams::default()),
+                    ..PipelineConfig::default()
+                };
+                let mut batch = base.clone();
+                let report = synchronize(&mut batch, &init, Some(&fin), &lmin, &cfg)
+                    .unwrap_or_else(|e| panic!("{procs}p/{msgs}m {model}: batch failed: {e}"));
+                let bclc = report.clc.as_ref().expect("clc configured");
+                for window in windows {
+                    let ctx = format!("{procs}p/{msgs}m {model} {presync:?} window={window}");
+                    let (back, rep) = run_windowed(&v3, &init, &fin, &lmin, &cfg, window, &ctx);
+                    assert_times_match(&batch, &back, &ctx);
+                    let iclc = rep.clc.as_ref().expect("clc ran");
+                    assert_clc_match(bclc, iclc, &ctx);
+                    legs += 1;
                 }
             }
         }
     }
     // The matrix must not silently collapse after a refactor.
-    let floor = sizes.len() * models.len() * presyncs.len() * 2 * 4;
+    let floor = sizes.len() * models.len() * presyncs.len() * 4;
     assert!(legs >= floor, "windowed matrix ran only {legs} legs (expected {floor})");
 }
 
@@ -155,8 +137,6 @@ fn windowed_engine_handles_v2_streams_in_the_matrix() {
         let cfg = PipelineConfig {
             presync: PreSync::Linear,
             clc: Some(ClcParams::default()),
-            parallel: None,
-            storage: TimestampStorage::Columnar,
             ..PipelineConfig::default()
         };
         let mut batch = base.clone();
@@ -182,8 +162,6 @@ fn windowed_residency_stays_bounded_while_batch_grows() {
     let cfg = PipelineConfig {
         presync: PreSync::Linear,
         clc: Some(ClcParams::default()),
-        parallel: None,
-        storage: TimestampStorage::Columnar,
         ..PipelineConfig::default()
     };
     let mut peaks = Vec::new();
